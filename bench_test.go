@@ -56,18 +56,23 @@ func benchData(b *testing.B) ([]*capture.Connection, []analysis.Record, *workloa
 }
 
 // BenchmarkScenarioSimulation times the full substrate: packet-level
-// simulation of client/censor/server plus capture, per connection.
+// simulation of client/censor/server plus capture, per connection, on
+// one warmed Simulator — the way RunSpecs and StreamSpecs workers run
+// it. One op is one connection.
 func BenchmarkScenarioSimulation(b *testing.B) {
 	s, err := workload.BuildScenario("bench-sim", 2000, 24, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
 	specs := s.Specs()
+	sim := workload.NewSimulator(s.Universe, s.CaptureConfig, s.Impairments)
+	for i := range specs {
+		sim.Simulate(&specs[i])
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spec := specs[i%len(specs)]
-		if workload.SimulateConn(&spec, s.Universe, s.CaptureConfig, s.Impairments) == nil {
+		if sim.Simulate(&specs[i%len(specs)]) == nil {
 			b.Fatal("connection not sampled")
 		}
 	}

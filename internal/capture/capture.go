@@ -12,7 +12,6 @@
 package capture
 
 import (
-	"hash/maphash"
 	"math/rand/v2"
 	"net/netip"
 
@@ -102,7 +101,6 @@ func DefaultConfig() Config {
 // sampled connection records.
 type Sampler struct {
 	cfg    Config
-	seed   maphash.Seed
 	parser *packet.SummaryParser
 	flows  map[FlowKey]*Connection
 	order  []FlowKey // insertion order for deterministic drains
@@ -114,6 +112,18 @@ type Sampler struct {
 
 // NewSampler builds a sampler.
 func NewSampler(cfg Config) *Sampler {
+	s := &Sampler{
+		parser: packet.NewSummaryParser(),
+		flows:  make(map[FlowKey]*Connection),
+	}
+	s.Reset(cfg)
+	return s
+}
+
+// Reset drops every tracked flow and the stats and applies cfg, keeping
+// the parser and flow table for reuse. Records already drained stay
+// valid.
+func (s *Sampler) Reset(cfg Config) {
 	if cfg.Rate == 0 {
 		cfg.Rate = 1
 	}
@@ -123,12 +133,11 @@ func NewSampler(cfg Config) *Sampler {
 	if cfg.MaxPayload == 0 {
 		cfg.MaxPayload = 512
 	}
-	return &Sampler{
-		cfg:    cfg,
-		seed:   maphash.MakeSeed(),
-		parser: packet.NewSummaryParser(),
-		flows:  make(map[FlowKey]*Connection),
-	}
+	s.cfg = cfg
+	clear(s.flows)
+	clear(s.order)
+	s.order = s.order[:0]
+	s.SeenPackets, s.SampledPackets = 0, 0
 }
 
 // Inbound ingests one inbound packet; use it as a netsim path tap.
@@ -201,22 +210,35 @@ func (s *Sampler) Inbound(at netsim.Time, data []byte) {
 	conn.Packets = append(conn.Packets, rec)
 }
 
-// selected applies the deterministic uniform flow-hash sampling.
+// selected applies the deterministic uniform flow-hash sampling: the
+// hash depends on the 4-tuple alone, so every sampler in every run
+// selects the same flows.
 func (s *Sampler) selected(key FlowKey) bool {
 	if s.cfg.Rate <= 1 {
 		return true
 	}
-	var h maphash.Hash
-	h.SetSeed(s.seed)
-	b := key.Src.As16()
-	h.Write(b[:])
-	b = key.Dst.As16()
-	h.Write(b[:])
-	h.WriteByte(byte(key.SrcPort >> 8))
-	h.WriteByte(byte(key.SrcPort))
-	h.WriteByte(byte(key.DstPort >> 8))
-	h.WriteByte(byte(key.DstPort))
-	return h.Sum64()%s.cfg.Rate == 0
+	return flowHash(key)%s.cfg.Rate == 0
+}
+
+// flowHash is FNV-1a over the 4-tuple (addresses in 16-byte form,
+// ports big-endian), finished with the SplitMix64 mixer so that every
+// output bit depends on every input byte before the modulus.
+func flowHash(key FlowKey) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	src, dst := key.Src.As16(), key.Dst.As16()
+	for _, b := range src {
+		h = (h ^ uint64(b)) * prime
+	}
+	for _, b := range dst {
+		h = (h ^ uint64(b)) * prime
+	}
+	for _, b := range [4]byte{byte(key.SrcPort >> 8), byte(key.SrcPort), byte(key.DstPort >> 8), byte(key.DstPort)} {
+		h = (h ^ uint64(b)) * prime
+	}
+	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+	return h ^ (h >> 31)
 }
 
 // DrainIdle closes and returns connections whose last activity is at
@@ -242,7 +264,7 @@ func (s *Sampler) DrainIdle(now netsim.Time, idleSeconds int64) []*Connection {
 }
 
 // Drain closes all tracked connections at the given time and returns
-// them in admission order, resetting the sampler.
+// them in admission order, emptying the sampler's flow table.
 func (s *Sampler) Drain(closeAt netsim.Time) []*Connection {
 	out := make([]*Connection, 0, len(s.flows))
 	ts := closeAt.Unix()
@@ -251,8 +273,9 @@ func (s *Sampler) Drain(closeAt netsim.Time) []*Connection {
 		conn.CloseTime = ts
 		out = append(out, conn)
 	}
-	s.flows = make(map[FlowKey]*Connection)
-	s.order = nil
+	clear(s.flows)
+	clear(s.order)
+	s.order = s.order[:0]
 	return out
 }
 

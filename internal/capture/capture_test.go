@@ -111,6 +111,44 @@ func TestSamplerRate(t *testing.T) {
 	}
 }
 
+// TestSamplerRateDeterministic pins flow-hash selection to the 4-tuple:
+// two independent samplers, and one sampler reused after Reset, pick
+// exactly the same flows at Rate=4.
+func TestSamplerRateDeterministic(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Rate = 4
+	pkts := make([][]byte, 2000)
+	for i := range pkts {
+		src := netip.AddrFrom4([4]byte{20, byte(i >> 8), byte(i), 9})
+		pkts[i] = buildPkt(t, src.String(), "192.0.2.1", uint16(2000+i%700), 443, packet.FlagsSYN, 0, nil)
+	}
+	picked := func(s *Sampler) []FlowKey {
+		for _, p := range pkts {
+			s.Inbound(0, p)
+		}
+		var keys []FlowKey
+		for _, c := range s.Drain(0) {
+			keys = append(keys, c.Key())
+		}
+		return keys
+	}
+	a, b := NewSampler(cfg), NewSampler(cfg)
+	ka, kb := picked(a), picked(b)
+	a.Reset(cfg)
+	kr := picked(a)
+	if len(ka) == 0 || len(ka) == len(pkts) {
+		t.Fatalf("rate 4 picked %d of %d flows", len(ka), len(pkts))
+	}
+	if len(ka) != len(kb) || len(ka) != len(kr) {
+		t.Fatalf("picked %d, %d and %d (after Reset) flows, want equal", len(ka), len(kb), len(kr))
+	}
+	for i := range ka {
+		if ka[i] != kb[i] || ka[i] != kr[i] {
+			t.Fatalf("flow %d differs: %v / %v / %v", i, ka[i], kb[i], kr[i])
+		}
+	}
+}
+
 func TestSamplerTwoFlows(t *testing.T) {
 	s := NewSampler(DefaultConfig())
 	s.Inbound(0, buildPkt(t, "20.0.0.1", "192.0.2.1", 1, 443, packet.FlagsSYN, 0, nil))

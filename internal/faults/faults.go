@@ -157,6 +157,7 @@ type Chain struct {
 	cfg Config
 	rng *rand.Rand
 	ge  [2]geState
+	out [2]netsim.Delivery // Hook's reusable result
 }
 
 // NewChain builds a Chain for one path.
@@ -164,7 +165,15 @@ func NewChain(cfg Config, rng *rand.Rand) *Chain {
 	return &Chain{cfg: cfg, rng: rng}
 }
 
-// Hook is the netsim.SegmentHook; install it as PathConfig.Hook.
+// Reset readies the chain for a new path: both directions return to
+// the initial channel state. The caller reseeds rng if the new path
+// needs a fresh stream.
+func (ch *Chain) Reset() {
+	ch.ge = [2]geState{}
+}
+
+// Hook is the netsim.SegmentHook; install it as PathConfig.Hook. The
+// returned slice is the chain's own and is reused by the next call.
 func (ch *Chain) Hook(now netsim.Time, dir netsim.Direction, data []byte) []netsim.Delivery {
 	cfg := &ch.cfg
 	if ch.rng.Float64() < ch.lossProb(dir, now) {
@@ -206,7 +215,8 @@ func (ch *Chain) Hook(now netsim.Time, dir netsim.Direction, data []byte) []nets
 	if cfg.Stats != nil {
 		cfg.Stats.Delivered.Add(1)
 	}
-	out := []netsim.Delivery{d}
+	ch.out[0] = d
+	out := ch.out[:1]
 	if cfg.DupProb > 0 && ch.rng.Float64() < cfg.DupProb {
 		dd := cfg.DupDelay
 		if dd <= 0 {

@@ -32,27 +32,31 @@ var (
 
 // BuildRequest serializes a simple HTTP/1.1 GET-style request.
 func BuildRequest(method, host, target string, headers map[string]string) []byte {
-	var b strings.Builder
+	return AppendRequest(nil, method, host, target, headers)
+}
+
+// AppendRequest appends the request BuildRequest would build to dst,
+// so a caller that reuses dst allocates nothing.
+func AppendRequest(dst []byte, method, host, target string, headers map[string]string) []byte {
 	if method == "" {
 		method = "GET"
 	}
 	if target == "" {
 		target = "/"
 	}
-	b.WriteString(method)
-	b.WriteByte(' ')
-	b.WriteString(target)
-	b.WriteString(" HTTP/1.1\r\nHost: ")
-	b.WriteString(host)
-	b.WriteString("\r\n")
+	dst = append(dst, method...)
+	dst = append(dst, ' ')
+	dst = append(dst, target...)
+	dst = append(dst, " HTTP/1.1\r\nHost: "...)
+	dst = append(dst, host...)
+	dst = append(dst, "\r\n"...)
 	for k, v := range headers {
-		b.WriteString(k)
-		b.WriteString(": ")
-		b.WriteString(v)
-		b.WriteString("\r\n")
+		dst = append(dst, k...)
+		dst = append(dst, ": "...)
+		dst = append(dst, v...)
+		dst = append(dst, "\r\n"...)
 	}
-	b.WriteString("\r\n")
-	return []byte(b.String())
+	return append(dst, "\r\n"...)
 }
 
 // methods we accept as the start of a request line. Middleboxes

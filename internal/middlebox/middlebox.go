@@ -191,14 +191,23 @@ type Engine struct {
 // NewEngine builds a middlebox engine. now may be nil when flow aging
 // is not needed.
 func NewEngine(policies []Policy, rng *rand.Rand, now func() netsim.Time) *Engine {
-	return &Engine{
-		policies:      policies,
-		rng:           rng,
+	e := &Engine{
 		parser:        packet.NewSummaryParser(),
 		flows:         make(map[flowKey]*flowState),
-		now:           now,
 		residualUntil: make(map[hostPair]netsim.Time),
 	}
+	e.Reset(policies, rng, now)
+	return e
+}
+
+// Reset reconfigures the engine as NewEngine would, forgetting every
+// flow, all residual-censorship state and the stats, while keeping its
+// parser and tables for reuse.
+func (e *Engine) Reset(policies []Policy, rng *rand.Rand, now func() netsim.Time) {
+	e.policies, e.rng, e.now = policies, rng, now
+	clear(e.flows)
+	clear(e.residualUntil)
+	e.Triggered, e.Dropped, e.Injected = 0, 0, 0
 }
 
 // Process implements netsim.Middlebox.

@@ -73,7 +73,8 @@ type Delivery struct {
 // delayed or corrupted), or several to duplicate. Hooks model benign
 // link pathologies — loss, reordering, duplication, jitter, bit
 // corruption — as opposed to Middlebox, which models intentional
-// tampering at a specific position.
+// tampering at a specific position. The path reads the returned slice
+// before calling the hook again, so a hook may reuse it.
 type SegmentHook func(now Time, dir Direction, data []byte) []Delivery
 
 // PathConfig describes a client↔server path with optional middleboxes.
@@ -106,16 +107,56 @@ type Path struct {
 	// Down, when true, drops everything in both directions (used to
 	// model shutdown-style outages).
 	Down bool
+
+	// free pools in-flight delivery records; injected and collect are
+	// the reusable scratch for a middlebox's injections at one hop.
+	free     []*delivery
+	injected []injection
+	collect  func(dir Direction, data []byte)
+}
+
+// delivery is one packet copy in flight across a segment. Records are
+// pooled per path and their callback is bound once, when the record is
+// first made, so a hop allocates nothing in steady state.
+type delivery struct {
+	p    *Path
+	dir  Direction
+	pos  int
+	hops uint8
+	data []byte
+	run  func()
+}
+
+// injection is a forged packet a middlebox emitted while processing
+// one packet, held until the forwarding decision is made.
+type injection struct {
+	dir  Direction
+	data []byte
 }
 
 // NewPath wires a client and server together. cfg.Segments must have
 // len(cfg.Middleboxes)+1 entries; NewPath panics otherwise, since this
 // is a static topology error.
 func NewPath(sim *Sim, cfg PathConfig, client, server Endpoint) *Path {
+	p := &Path{sim: sim, client: client, server: server}
+	p.collect = func(dir Direction, data []byte) {
+		p.injected = append(p.injected, injection{dir, data})
+	}
+	p.Reset(cfg)
+	return p
+}
+
+// Reset reconfigures the path for a new connection between the same
+// endpoints on the same simulator, keeping its pooled storage and its
+// Tap. Reset the simulator first: deliveries still queued from the
+// previous connection would otherwise reach the endpoints. It panics
+// on the topology error NewPath rejects.
+func (p *Path) Reset(cfg PathConfig) {
 	if len(cfg.Segments) != len(cfg.Middleboxes)+1 {
 		panic("netsim: PathConfig needs len(Segments) == len(Middleboxes)+1")
 	}
-	return &Path{sim: sim, cfg: cfg, client: client, server: server}
+	p.cfg = cfg
+	p.Down = false
 }
 
 // SendFromClient injects a packet at the client end of the path.
@@ -149,37 +190,53 @@ func (p *Path) send(dir Direction, pos int, data []byte) {
 // the segment delay plus any hook-imposed extra delay.
 func (p *Path) deliver(dir Direction, pos int, data []byte, extra time.Duration) {
 	seg := p.segmentAt(dir, pos)
-	p.sim.Schedule(seg.Delay+extra, func() {
-		if p.Down {
-			return
-		}
-		if !packet.DecrementTTL(data, seg.Hops) {
-			return // TTL expired in transit
-		}
-		next := pos + 1
-		if next == len(p.cfg.Segments) {
-			p.arrive(dir, data)
-			return
-		}
-		mb := p.middleboxAt(dir, next)
-		// Injections are dispatched after the forwarding decision so a
-		// forged packet never overtakes the packet that triggered it —
-		// matching off-path injectors, which race behind the original.
-		type injection struct {
-			dir  Direction
-			data []byte
-		}
-		var injected []injection
-		forward := mb.Process(dir, data, func(injDir Direction, inj []byte) {
-			injected = append(injected, injection{injDir, inj})
-		})
-		if forward {
-			p.send(dir, next, data)
-		}
-		for _, in := range injected {
-			p.injectFrom(dir, next, in.dir, in.data)
-		}
-	})
+	var d *delivery
+	if n := len(p.free); n > 0 {
+		d = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		d = &delivery{p: p}
+		d.run = d.cross
+	}
+	d.dir, d.pos, d.hops, d.data = dir, pos, seg.Hops, data
+	p.sim.Schedule(seg.Delay+extra, d.run)
+}
+
+// cross completes a segment traversal: the packet reaches the far
+// endpoint or the next middlebox. The record goes back to the pool
+// first, so the sends it triggers can reuse it.
+func (d *delivery) cross() {
+	p, dir, pos, data := d.p, d.dir, d.pos, d.data
+	hops := d.hops
+	d.data = nil
+	p.free = append(p.free, d)
+	if p.Down {
+		return
+	}
+	if !packet.DecrementTTL(data, hops) {
+		return // TTL expired in transit
+	}
+	next := pos + 1
+	if next == len(p.cfg.Segments) {
+		p.arrive(dir, data)
+		return
+	}
+	mb := p.middleboxAt(dir, next)
+	// Injections are dispatched after the forwarding decision so a
+	// forged packet never overtakes the packet that triggered it —
+	// matching off-path injectors, which race behind the original.
+	// Process never runs re-entrantly (sends only schedule), so one
+	// scratch list serves every hop.
+	p.injected = p.injected[:0]
+	forward := mb.Process(dir, data, p.collect)
+	if forward {
+		p.send(dir, next, data)
+	}
+	for i := range p.injected {
+		in := p.injected[i]
+		p.injected[i] = injection{}
+		p.injectFrom(dir, next, in.dir, in.data)
+	}
 }
 
 // injectFrom sends a forged packet from the middlebox boundary at

@@ -33,27 +33,38 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 // (the paper's 1-second granularity).
 func (t Time) Unix() int64 { return int64(t) / 1e9 }
 
-// event is a scheduled callback.
+// event is a scheduled callback. Events are recycled through the
+// engine's free list once they fire, are found cancelled, or are
+// dropped by Reset; gen counts those recyclings so a Timer can tell
+// its own scheduling from a later one that reuses the slot.
 type event struct {
 	at   Time
 	seq  uint64 // tiebreaker preserving schedule order
 	fn   func()
 	dead bool
-	idx  int
+	gen  uint64
 }
 
 // Timer handles allow cancelling a scheduled event (e.g. a TCP
 // retransmission timer that was answered).
-type Timer struct{ ev *event }
+type Timer struct {
+	ev  *event
+	gen uint64
+}
 
-// Stop cancels the timer if it has not fired. Safe to call repeatedly
-// and on a zero Timer.
+// Stop cancels the timer if it has not fired. Safe to call repeatedly,
+// on a zero Timer, and after the event fired and its slot was reused
+// by a later Schedule: a stale Timer never cancels someone else's
+// event.
 func (t Timer) Stop() {
-	if t.ev != nil {
+	if t.ev != nil && t.ev.gen == t.gen {
 		t.ev.dead = true
 	}
 }
 
+// eventQueue is a container/heap min-heap on (at, seq). (at, seq) is
+// a total order, so the pop sequence does not depend on the heap's
+// layout.
 type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
@@ -63,15 +74,8 @@ func (q eventQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx, q[j].idx = i, j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*q)
-	*q = append(*q, ev)
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
@@ -86,6 +90,7 @@ func (q *eventQueue) Pop() any {
 type Engine struct {
 	now   Time
 	queue eventQueue
+	free  []*event // recycled events, reused by the next Schedule
 	seq   uint64
 	// Steps counts processed events, a cheap runaway guard for tests.
 	Steps int
@@ -94,6 +99,26 @@ type Engine struct {
 // New returns an engine starting at the given virtual time.
 func New(start Time) *Engine {
 	return &Engine{now: start}
+}
+
+// Reset returns the engine to a fresh state at start, keeping its
+// queue and event storage for reuse. Every pending event is dropped
+// and every outstanding Timer goes stale.
+func (s *Engine) Reset(start Time) {
+	for _, ev := range s.queue {
+		s.release(ev)
+	}
+	clear(s.queue)
+	s.queue = s.queue[:0]
+	s.now, s.seq, s.Steps = start, 0, 0
+}
+
+// release recycles an event that left the queue.
+func (s *Engine) release(ev *event) {
+	ev.gen++
+	ev.fn = nil
+	ev.dead = false
+	s.free = append(s.free, ev)
 }
 
 // Now returns the current virtual time.
@@ -116,9 +141,30 @@ func (s *Engine) ScheduleAt(at Time, fn func()) Timer {
 		at = s.now
 	}
 	s.seq++
-	ev := &event{at: at, seq: s.seq, fn: fn}
+	var ev *event
+	if n := len(s.free); n > 0 {
+		ev = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	ev.at, ev.seq, ev.fn = at, s.seq, fn
 	heap.Push(&s.queue, ev)
-	return Timer{ev: ev}
+	return Timer{ev: ev, gen: ev.gen}
+}
+
+// next pops the earliest event and recycles it, returning its time and
+// callback, or a nil callback when the event was cancelled. The event
+// is recycled before the callback runs, so the callback's own Schedule
+// calls can reuse it.
+func (s *Engine) next() (Time, func()) {
+	ev := heap.Pop(&s.queue).(*event)
+	at, fn := ev.at, ev.fn
+	if ev.dead {
+		fn = nil
+	}
+	s.release(ev)
+	return at, fn
 }
 
 // Run processes events until the queue is empty or maxSteps events have
@@ -129,12 +175,12 @@ func (s *Engine) Run(maxSteps int) int {
 		if maxSteps > 0 && n >= maxSteps {
 			break
 		}
-		ev := heap.Pop(&s.queue).(*event)
-		if ev.dead {
+		at, fn := s.next()
+		if fn == nil {
 			continue
 		}
-		s.now = ev.at
-		ev.fn()
+		s.now = at
+		fn()
 		n++
 		s.Steps++
 	}
@@ -145,12 +191,12 @@ func (s *Engine) Run(maxSteps int) int {
 // the deadline afterwards.
 func (s *Engine) RunUntil(deadline Time) {
 	for len(s.queue) > 0 && s.queue[0].at <= deadline {
-		ev := heap.Pop(&s.queue).(*event)
-		if ev.dead {
+		at, fn := s.next()
+		if fn == nil {
 			continue
 		}
-		s.now = ev.at
-		ev.fn()
+		s.now = at
+		fn()
 		s.Steps++
 	}
 	if s.now < deadline {

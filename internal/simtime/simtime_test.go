@@ -116,3 +116,76 @@ func TestTimeConversions(t *testing.T) {
 		t.Errorf("Add broken")
 	}
 }
+
+// TestStaleTimerAfterRecycle pins the generation check: once an event
+// fires, its storage is reused by the next Schedule, and stopping the
+// old Timer must not cancel the event that now holds the slot.
+func TestStaleTimerAfterRecycle(t *testing.T) {
+	s := New(0)
+	old := s.Schedule(time.Millisecond, func() {})
+	s.Run(0)
+	fired := false
+	fresh := s.Schedule(time.Millisecond, func() { fired = true })
+	if fresh.ev != old.ev {
+		t.Fatal("fired event was not recycled into the next Schedule")
+	}
+	old.Stop()
+	if s.Run(0); !fired {
+		t.Fatal("stale Timer.Stop cancelled the event that reused its slot")
+	}
+
+	// The same holds for a Timer stopped from inside its own callback
+	// after the callback scheduled into the recycled slot.
+	var self Timer
+	ran := false
+	self = s.Schedule(time.Millisecond, func() {
+		s.Schedule(time.Millisecond, func() { ran = true })
+		self.Stop()
+	})
+	if s.Run(0); !ran {
+		t.Fatal("Stop inside the firing callback cancelled the event it scheduled")
+	}
+
+	// A cancelled event is recycled too, and its Timer stays stale.
+	dead := s.Schedule(time.Millisecond, func() { t.Error("cancelled event ran") })
+	dead.Stop()
+	s.Run(0)
+	ran = false
+	s.Schedule(time.Millisecond, func() { ran = true })
+	dead.Stop()
+	if s.Run(0); !ran {
+		t.Fatal("stale Stop of a recycled cancelled event cancelled its successor")
+	}
+}
+
+// TestResetDropsPending checks that Reset discards every queued event,
+// rewinds the clock and counters, and leaves outstanding Timers stale.
+func TestResetDropsPending(t *testing.T) {
+	s := New(0)
+	ran := 0
+	var timers []Timer
+	for i := 0; i < 8; i++ {
+		timers = append(timers, s.Schedule(time.Duration(i+1)*time.Second, func() { ran++ }))
+	}
+	s.RunUntil(Time(2 * time.Second))
+	if ran != 2 {
+		t.Fatalf("ran %d events before Reset, want 2", ran)
+	}
+	s.Reset(Time(time.Hour))
+	if s.Pending() != 0 || s.Now() != Time(time.Hour) || s.Steps != 0 {
+		t.Fatalf("after Reset: Pending=%d Now=%d Steps=%d", s.Pending(), s.Now(), s.Steps)
+	}
+	fired := 0
+	for i := 0; i < 8; i++ {
+		s.Schedule(time.Second, func() { fired++ })
+	}
+	for _, tm := range timers {
+		tm.Stop()
+	}
+	if n := s.Run(0); n != 8 || fired != 8 || ran != 2 {
+		t.Fatalf("after Reset: Run=%d fired=%d ran=%d, want 8, 8, 2", n, fired, ran)
+	}
+	if s.Now() != Time(time.Hour+time.Second) {
+		t.Errorf("Now = %d after Reset and Run", s.Now())
+	}
+}

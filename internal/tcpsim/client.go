@@ -153,6 +153,12 @@ type Client struct {
 	finTimer     netsim.Timer
 	ackPending   bool
 
+	// Timer callbacks, bound once per Client so that arming a timer
+	// allocates nothing.
+	onSYNTimer, onDupSYN, onRedundantACK, onSegmentGap, onDataRTO,
+	onResponseTimeout, onDelayedACK, onResetClose, onClose,
+	onFINTimeout, onFINTimer func()
+
 	// Done reports how the attempt ended, for tests and ground truth.
 	Done   bool
 	Reason string
@@ -161,15 +167,45 @@ type Client struct {
 // NewClient builds a client. Call Attach to wire it to a path sender,
 // then Start to begin the attempt.
 func NewClient(sim *netsim.Sim, cfg ClientConfig, rng *rand.Rand) *Client {
-	c := &Client{
-		sim:    sim,
-		cfg:    cfg.withDefaults(),
-		w:      newWire(cfg.Net),
-		parser: packet.NewSummaryParser(),
-		rng:    rng,
-	}
-	c.isn = randISN(rng)
+	c := &Client{sim: sim, w: &wire{}, parser: packet.NewSummaryParser()}
+	c.onSYNTimer = c.synTimer
+	c.onDupSYN = c.dupSYN
+	c.onRedundantACK = c.redundantACK
+	c.onSegmentGap = c.segmentGap
+	c.onDataRTO = c.dataRTO
+	c.onResponseTimeout = c.responseTimeout
+	c.onDelayedACK = c.delayedACK
+	c.onResetClose = c.resetClose
+	c.onClose = c.beginClose
+	c.onFINTimeout = c.finTimeout
+	c.onFINTimer = c.finTimerFired
+	c.Reset(cfg, rng)
 	return c
+}
+
+// Reset prepares the client for a new connection attempt on the same
+// simulator, keeping its parser, queues and bound timer callbacks.
+// Reset the simulator first: the client's pending timers are not
+// cancelled here. Packets built for the previous
+// connection are invalid after Reset.
+func (c *Client) Reset(cfg ClientConfig, rng *rand.Rand) {
+	c.cfg = cfg.withDefaults()
+	c.w.reset(cfg.Net)
+	c.rng = rng
+	c.state = clStart
+	c.sndNxt, c.rcvNxt, c.synTry, c.dataTry = 0, 0, 0, 0
+	c.segIdx = 0
+	c.awaitingResp, c.respSeen, c.sentAll = false, false, false
+	c.finSent, c.finAcked, c.finSeq, c.finTry = false, false, 0, 0
+	clear(c.sendQ)
+	c.sendQ = c.sendQ[:0]
+	c.dupAcks = 0
+	clear(c.ooo)
+	c.retransTimer, c.respTimer, c.closeTimer = netsim.Timer{}, netsim.Timer{}, netsim.Timer{}
+	c.ackTimer, c.finTimer = netsim.Timer{}, netsim.Timer{}
+	c.ackPending = false
+	c.Done, c.Reason = false, ""
+	c.isn = randISN(rng)
 }
 
 // Attach sets the function used to transmit packets (normally
@@ -190,30 +226,32 @@ func (c *Client) sendSYN() {
 	c.synTry++
 	if c.cfg.Behavior == BehaviorDoubleSYN && c.synTry == 1 {
 		// Immediate duplicate, before any timeout.
-		c.sim.Schedule(30*time.Millisecond, func() {
-			if c.state == clSynSent {
-				c.send(c.w.build(packet.FlagsSYN, c.isn, 0, payload, true))
-			}
-		})
+		c.sim.Schedule(30*time.Millisecond, c.onDupSYN)
 	}
 	c.retransTimer.Stop()
+	backoff := c.cfg.RTO << uint(c.synTry)
 	if c.synTry <= c.cfg.SYNRetries {
-		backoff := c.cfg.RTO << (c.synTry - 1)
-		c.retransTimer = c.sim.Schedule(backoff, func() {
-			if c.state == clSynSent {
-				if c.synTry > c.cfg.SYNRetries {
-					c.finish("syn-timeout")
-					return
-				}
-				c.sendSYN()
-			}
-		})
-	} else {
-		c.retransTimer = c.sim.Schedule(c.cfg.RTO<<uint(c.synTry), func() {
-			if c.state == clSynSent {
-				c.finish("syn-timeout")
-			}
-		})
+		backoff = c.cfg.RTO << (c.synTry - 1)
+	}
+	c.retransTimer = c.sim.Schedule(backoff, c.onSYNTimer)
+}
+
+// synTimer retransmits the SYN, or gives up once the retry budget is
+// spent.
+func (c *Client) synTimer() {
+	if c.state != clSynSent {
+		return
+	}
+	if c.synTry > c.cfg.SYNRetries {
+		c.finish("syn-timeout")
+		return
+	}
+	c.sendSYN()
+}
+
+func (c *Client) dupSYN() {
+	if c.state == clSynSent {
+		c.send(c.w.build(packet.FlagsSYN, c.isn, 0, c.cfg.SYNPayload, true))
 	}
 }
 
@@ -261,10 +299,7 @@ func (c *Client) handleSYNACK(s packet.Summary) {
 		c.finish("stalled")
 		return
 	case BehaviorRedundantACK:
-		c.sim.Schedule(40*time.Millisecond, func() {
-			c.send(c.w.build(packet.FlagsACK, c.sndNxt, c.rcvNxt, nil, false))
-			c.finish("redundant-ack-stall")
-		})
+		c.sim.Schedule(40*time.Millisecond, c.onRedundantACK)
 		return
 	}
 	if len(c.cfg.Segments) == 0 {
@@ -275,7 +310,14 @@ func (c *Client) handleSYNACK(s packet.Summary) {
 	c.scheduleSegment()
 }
 
-// scheduleSegment arms the send of cfg.Segments[c.segIdx].
+func (c *Client) redundantACK() {
+	c.send(c.w.build(packet.FlagsACK, c.sndNxt, c.rcvNxt, nil, false))
+	c.finish("redundant-ack-stall")
+}
+
+// scheduleSegment arms the send of cfg.Segments[c.segIdx]. At most one
+// send is armed at a time, and segIdx only advances when it fires, so
+// the callback finds its segment at segIdx.
 func (c *Client) scheduleSegment() {
 	if c.segIdx >= len(c.cfg.Segments) {
 		c.sentAll = true
@@ -292,12 +334,14 @@ func (c *Client) scheduleSegment() {
 	if gap == 0 {
 		gap = 5 * time.Millisecond
 	}
-	c.sim.Schedule(gap, func() {
-		if c.state != clEstablished {
-			return
-		}
-		c.sendSegment(seg)
-	})
+	c.sim.Schedule(gap, c.onSegmentGap)
+}
+
+func (c *Client) segmentGap() {
+	if c.state != clEstablished {
+		return
+	}
+	c.sendSegment(c.cfg.Segments[c.segIdx])
 }
 
 func (c *Client) sendSegment(seg Segment) {
@@ -320,18 +364,20 @@ func (c *Client) sendSegment(seg Segment) {
 func (c *Client) armDataRTO() {
 	c.retransTimer.Stop()
 	backoff := c.cfg.RTO << (c.dataTry - 1)
-	c.retransTimer = c.sim.Schedule(backoff, func() {
-		if c.state != clEstablished || len(c.sendQ) == 0 {
-			return
-		}
-		if c.dataTry > c.cfg.DataRetries {
-			c.finish("data-timeout")
-			return
-		}
-		c.retransmitHead()
-		c.dataTry++
-		c.armDataRTO()
-	})
+	c.retransTimer = c.sim.Schedule(backoff, c.onDataRTO)
+}
+
+func (c *Client) dataRTO() {
+	if c.state != clEstablished || len(c.sendQ) == 0 {
+		return
+	}
+	if c.dataTry > c.cfg.DataRetries {
+		c.finish("data-timeout")
+		return
+	}
+	c.retransmitHead()
+	c.dataTry++
+	c.armDataRTO()
 }
 
 // retransmitHead resends the oldest unacknowledged segment.
@@ -342,11 +388,13 @@ func (c *Client) retransmitHead() {
 
 func (c *Client) armResponseTimeout() {
 	c.respTimer.Stop()
-	c.respTimer = c.sim.Schedule(c.cfg.ResponseTimeout, func() {
-		if c.state == clEstablished && !c.respSeen {
-			c.finish("response-timeout")
-		}
-	})
+	c.respTimer = c.sim.Schedule(c.cfg.ResponseTimeout, c.onResponseTimeout)
+}
+
+func (c *Client) responseTimeout() {
+	if c.state == clEstablished && !c.respSeen {
+		c.finish("response-timeout")
+	}
 }
 
 func (c *Client) handleEstablished(s packet.Summary) {
@@ -391,13 +439,7 @@ func (c *Client) handleEstablished(s packet.Summary) {
 		// burst into one cumulative ACK, as real stacks do.
 		if !c.ackPending {
 			c.ackPending = true
-			c.ackTimer = c.sim.Schedule(15*time.Millisecond, func() {
-				if c.state == clClosed || !c.ackPending {
-					return
-				}
-				c.ackPending = false
-				c.send(c.w.build(packet.FlagsACK, c.sndNxt, c.rcvNxt, nil, false))
-			})
+			c.ackTimer = c.sim.Schedule(15*time.Millisecond, c.onDelayedACK)
 		}
 		if c.awaitingResp {
 			c.awaitingResp = false
@@ -415,12 +457,7 @@ func (c *Client) handleEstablished(s packet.Summary) {
 				}
 				c.finish("abandoned-idle")
 			case BehaviorResetClose:
-				c.sim.Schedule(c.cfg.CloseDelay, func() {
-					if c.state == clEstablished && !c.Done {
-						c.send(c.w.build(packet.FlagsRST, c.sndNxt, 0, nil, false))
-						c.finish("reset-close")
-					}
-				})
+				c.sim.Schedule(c.cfg.CloseDelay, c.onResetClose)
 			default:
 				c.scheduleClose()
 			}
@@ -440,6 +477,21 @@ func (c *Client) handleEstablished(s packet.Summary) {
 	}
 }
 
+func (c *Client) delayedACK() {
+	if c.state == clClosed || !c.ackPending {
+		return
+	}
+	c.ackPending = false
+	c.send(c.w.build(packet.FlagsACK, c.sndNxt, c.rcvNxt, nil, false))
+}
+
+func (c *Client) resetClose() {
+	if c.state == clEstablished && !c.Done {
+		c.send(c.w.build(packet.FlagsRST, c.sndNxt, 0, nil, false))
+		c.finish("reset-close")
+	}
+}
+
 // handleACK applies cumulative acknowledgment progress: fully-acked
 // segments leave the send queue; three duplicate ACKs for the head
 // trigger a fast retransmit without waiting for the RTO.
@@ -451,14 +503,20 @@ func (c *Client) handleACK(s packet.Summary) {
 	if len(c.sendQ) == 0 {
 		return
 	}
-	progressed := false
-	for len(c.sendQ) > 0 {
-		h := c.sendQ[0]
+	acked := 0
+	for _, h := range c.sendQ {
 		if !seqGE(s.Ack, h.seq+uint32(len(h.data))) {
 			break
 		}
-		c.sendQ = c.sendQ[1:]
-		progressed = true
+		acked++
+	}
+	progressed := acked > 0
+	if progressed {
+		// Shift rather than reslice, so the queue keeps its storage
+		// across connections.
+		n := copy(c.sendQ, c.sendQ[acked:])
+		clear(c.sendQ[n:])
+		c.sendQ = c.sendQ[:n]
 	}
 	switch {
 	case progressed:
@@ -482,23 +540,27 @@ func (c *Client) scheduleClose() {
 	if c.closeTimer != (netsim.Timer{}) {
 		return
 	}
-	c.closeTimer = c.sim.Schedule(c.cfg.CloseDelay, func() {
-		if c.state != clEstablished || c.finSent {
-			return
-		}
-		c.finSent = true
-		c.state = clFinWait
-		c.finSeq = c.sndNxt
-		c.sndNxt++
-		c.sendFIN()
-		// Await the server FIN; handled in handleEstablished. Give up
-		// eventually either way.
-		c.sim.Schedule(5*time.Second, func() {
-			if !c.Done {
-				c.finish("fin-timeout")
-			}
-		})
-	})
+	c.closeTimer = c.sim.Schedule(c.cfg.CloseDelay, c.onClose)
+}
+
+func (c *Client) beginClose() {
+	if c.state != clEstablished || c.finSent {
+		return
+	}
+	c.finSent = true
+	c.state = clFinWait
+	c.finSeq = c.sndNxt
+	c.sndNxt++
+	c.sendFIN()
+	// Await the server FIN; handled in handleEstablished. Give up
+	// eventually either way.
+	c.sim.Schedule(5*time.Second, c.onFINTimeout)
+}
+
+func (c *Client) finTimeout() {
+	if !c.Done {
+		c.finish("fin-timeout")
+	}
 }
 
 // sendFIN transmits (or retransmits) the client FIN with backoff until
@@ -508,11 +570,13 @@ func (c *Client) sendFIN() {
 	c.finTry++
 	c.finTimer.Stop()
 	if c.finTry <= 3 {
-		c.finTimer = c.sim.Schedule(c.cfg.RTO<<(c.finTry-1), func() {
-			if !c.Done && c.state == clFinWait && !c.finAcked {
-				c.sendFIN()
-			}
-		})
+		c.finTimer = c.sim.Schedule(c.cfg.RTO<<(c.finTry-1), c.onFINTimer)
+	}
+}
+
+func (c *Client) finTimerFired() {
+	if !c.Done && c.state == clFinWait && !c.finAcked {
+		c.sendFIN()
 	}
 }
 

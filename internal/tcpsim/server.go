@@ -92,6 +92,10 @@ type Server struct {
 	// ooo buffers out-of-order request data until the gap fills.
 	ooo map[uint32][]byte
 
+	// Timer callbacks, bound once per Server so that arming a timer
+	// allocates nothing.
+	onSYNACKTimer, onRespond, onRespRTO func()
+
 	// RequestData accumulates the application bytes received, in
 	// order, for tests and ground-truth checks.
 	RequestData []byte
@@ -102,16 +106,34 @@ type Server struct {
 // NewServer builds a server endpoint. Call Attach before delivering
 // packets to it.
 func NewServer(sim *netsim.Sim, cfg ServerConfig, rng *rand.Rand) *Server {
-	s := &Server{
-		sim:    sim,
-		cfg:    cfg.withDefaults(),
-		w:      newWire(cfg.Net),
-		parser: packet.NewSummaryParser(),
-		rng:    rng,
-		state:  svListen,
-	}
-	s.isn = randISN(rng)
+	s := &Server{sim: sim, w: &wire{}, parser: packet.NewSummaryParser()}
+	s.onSYNACKTimer = s.synackTimer
+	s.onRespond = s.respond
+	s.onRespRTO = s.respRTO
+	s.Reset(cfg, rng)
 	return s
+}
+
+// Reset prepares the server for a new connection on the same
+// simulator, keeping its parser, queues and bound timer callbacks.
+// Reset the simulator first: the server's pending timers are not
+// cancelled here. Packets built for the previous
+// connection are invalid after Reset.
+func (s *Server) Reset(cfg ServerConfig, rng *rand.Rand) {
+	s.cfg = cfg.withDefaults()
+	s.w.reset(cfg.Net)
+	s.rng = rng
+	s.state = svListen
+	s.sndNxt, s.rcvNxt, s.clientISN, s.synackTry = 0, 0, 0, 0
+	s.retransmit, s.respTimer = netsim.Timer{}, netsim.Timer{}
+	s.finSent = false
+	clear(s.respQ)
+	s.respQ = s.respQ[:0]
+	s.respTry, s.dupAcks = 0, 0
+	clear(s.ooo)
+	s.RequestData = s.RequestData[:0]
+	s.Aborted = false
+	s.isn = randISN(rng)
 }
 
 // Attach sets the transmit function (normally Path.SendFromServer).
@@ -185,11 +207,13 @@ func (s *Server) sendSYNACK() {
 	s.synackTry++
 	s.retransmit.Stop()
 	if s.synackTry <= s.cfg.SYNACKRetries {
-		s.retransmit = s.sim.Schedule(s.cfg.RTO<<(s.synackTry-1), func() {
-			if s.state == svSynReceived {
-				s.sendSYNACK()
-			}
-		})
+		s.retransmit = s.sim.Schedule(s.cfg.RTO<<(s.synackTry-1), s.onSYNACKTimer)
+	}
+}
+
+func (s *Server) synackTimer() {
+	if s.state == svSynReceived {
+		s.sendSYNACK()
 	}
 }
 
@@ -209,7 +233,7 @@ func (s *Server) handleSegment(p packet.Summary) {
 			s.sndNxt++
 		}
 		s.respTimer.Stop()
-		s.respQ = nil
+		s.dropResponses()
 		s.state = svClosed
 	}
 }
@@ -217,14 +241,20 @@ func (s *Server) handleSegment(p packet.Summary) {
 // handleACK retires acknowledged response segments and fast-retransmits
 // on three duplicate ACKs, mirroring the client's loss recovery.
 func (s *Server) handleACK(p packet.Summary) {
-	progressed := false
-	for len(s.respQ) > 0 {
-		head := s.respQ[0]
-		if !seqGE(p.Ack, head.seq+uint32(len(head.payload))) {
+	acked := 0
+	for _, seg := range s.respQ {
+		if !seqGE(p.Ack, seg.seq+uint32(len(seg.payload))) {
 			break
 		}
-		s.respQ = s.respQ[1:]
-		progressed = true
+		acked++
+	}
+	progressed := acked > 0
+	if progressed {
+		// Shift rather than reslice, so the queue keeps its storage
+		// across connections.
+		n := copy(s.respQ, s.respQ[acked:])
+		clear(s.respQ[n:])
+		s.respQ = s.respQ[:n]
 	}
 	if progressed {
 		s.dupAcks = 0
@@ -277,7 +307,7 @@ func (s *Server) handleData(p packet.Summary) {
 	// Respond only when the request actually advanced: retransmitted or
 	// duplicated request data must not elicit a second response burst.
 	if advanced {
-		s.sim.Schedule(s.cfg.ResponseDelay, func() { s.respond() })
+		s.sim.Schedule(s.cfg.ResponseDelay, s.onRespond)
 	}
 }
 
@@ -315,18 +345,26 @@ func (s *Server) retransmitResponseHead() {
 // untampered.
 func (s *Server) armRespRTO() {
 	s.respTimer.Stop()
-	s.respTimer = s.sim.Schedule(s.cfg.RTO<<(s.respTry-1), func() {
-		if s.state != svEstablished || len(s.respQ) == 0 {
-			return
-		}
-		if s.respTry > s.cfg.ResponseRetries {
-			s.respQ = nil
-			return
-		}
-		s.retransmitResponseHead()
-		s.respTry++
-		s.armRespRTO()
-	})
+	s.respTimer = s.sim.Schedule(s.cfg.RTO<<(s.respTry-1), s.onRespRTO)
+}
+
+func (s *Server) respRTO() {
+	if s.state != svEstablished || len(s.respQ) == 0 {
+		return
+	}
+	if s.respTry > s.cfg.ResponseRetries {
+		s.dropResponses()
+		return
+	}
+	s.retransmitResponseHead()
+	s.respTry++
+	s.armRespRTO()
+}
+
+// dropResponses forgets every unacknowledged response segment.
+func (s *Server) dropResponses() {
+	clear(s.respQ)
+	s.respQ = s.respQ[:0]
 }
 
 // respondRST answers a segment for a dead connection, mirroring RFC 793
@@ -354,11 +392,23 @@ type respSeg struct {
 	payload []byte
 }
 
-// responseBody builds a deterministic response payload of n bytes.
-func responseBody(n int) []byte {
-	b := make([]byte, n)
+// responsePattern backs response payloads: the A–Z cycle, shared by
+// every server and never written.
+var responsePattern = fillResponse(make([]byte, 4096))
+
+func fillResponse(b []byte) []byte {
 	for i := range b {
 		b[i] = byte('A' + i%26)
 	}
 	return b
+}
+
+// responseBody returns a deterministic response payload of n bytes.
+// Payloads are only read (serialized and retransmitted), so sizes up
+// to the shared pattern's length cost nothing.
+func responseBody(n int) []byte {
+	if n <= len(responsePattern) {
+		return responsePattern[:n:n]
+	}
+	return fillResponse(make([]byte, n))
 }

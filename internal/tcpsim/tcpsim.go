@@ -56,25 +56,30 @@ type NetProfile struct {
 func (n *NetProfile) IsV6() bool { return n.LocalIP.Is6() && !n.LocalIP.Is4In6() }
 
 // wire builds serialized packets for one endpoint of a connection.
-// Serialization goes through the packet package's pooled buffers, so
-// the steady-state per-packet cost is one exact-size allocation (the
-// bytes handed to the path) and nothing else.
+// Serialization goes through the packet package's pooled buffers and
+// appends every packet to buf, which reset rewinds for the next
+// connection. Packet bytes are therefore valid until the endpoint's
+// Reset. Handed-out packets are capacity-clipped, so appending to one
+// never writes into its neighbour.
 type wire struct {
-	prof   NetProfile
-	ipid   uint16
-	ip4    packet.IPv4
-	ip6    packet.IPv6
-	tcp    packet.TCP
-	serial packet.SerializeOptions
+	prof    NetProfile
+	ipid    uint16
+	buf     []byte
+	ip4     packet.IPv4
+	ip6     packet.IPv6
+	tcp     packet.TCP
+	payload packet.Payload
 }
 
-func newWire(prof NetProfile) *wire {
-	w := &wire{
-		prof:   prof,
-		serial: packet.SerializeOptions{FixLengths: true, ComputeChecksums: true},
-	}
+// serialOpts fixes lengths and checksums on every built packet.
+var serialOpts = packet.SerializeOptions{FixLengths: true, ComputeChecksums: true}
+
+// reset points the wire at a new connection's profile and rewinds its
+// packet buffer.
+func (w *wire) reset(prof NetProfile) {
+	w.prof = prof
 	w.ipid = prof.IPIDValue
-	return w
+	w.buf = w.buf[:0]
 }
 
 func (w *wire) nextIPID() uint16 {
@@ -100,8 +105,8 @@ var synOptions = []packet.TCPOption{
 }
 
 // build serializes one segment from this endpoint with the given TCP
-// fields and payload. The result is a fresh slice safe to hand to the
-// path.
+// fields and payload. The result is safe to hand to the path: no other
+// packet shares its bytes.
 func (w *wire) build(flags packet.TCPFlags, seq, ack uint32, payload []byte, withOpts bool) []byte {
 	w.tcp = packet.TCP{
 		SrcPort: w.prof.LocalPort,
@@ -114,8 +119,8 @@ func (w *wire) build(flags packet.TCPFlags, seq, ack uint32, payload []byte, wit
 	if withOpts && w.prof.SYNOptions {
 		w.tcp.Options = synOptions
 	}
-	var out []byte
-	var err error
+	w.payload = payload
+	var layer packet.SerializableLayer = &w.ip4
 	if w.prof.IsV6() {
 		w.ip6 = packet.IPv6{
 			NextHeader: 6,
@@ -124,7 +129,7 @@ func (w *wire) build(flags packet.TCPFlags, seq, ack uint32, payload []byte, wit
 			DstIP:      w.prof.RemoteIP,
 		}
 		w.tcp.SetNetworkLayerForChecksum(&w.ip6)
-		out, err = packet.AppendLayers(nil, w.serial, &w.ip6, &w.tcp, packet.Payload(payload))
+		layer = &w.ip6
 	} else {
 		w.ip4 = packet.IPv4{
 			TTL:      w.prof.InitialTTL,
@@ -135,14 +140,17 @@ func (w *wire) build(flags packet.TCPFlags, seq, ack uint32, payload []byte, wit
 			DstIP:    w.prof.RemoteIP,
 		}
 		w.tcp.SetNetworkLayerForChecksum(&w.ip4)
-		out, err = packet.AppendLayers(nil, w.serial, &w.ip4, &w.tcp, packet.Payload(payload))
 	}
+	start := len(w.buf)
+	out, err := packet.AppendLayers(w.buf, serialOpts, layer, &w.tcp, &w.payload)
+	w.payload = nil
 	if err != nil {
 		// The layers are fully under our control; a serialize error is
 		// a programming bug.
 		panic("tcpsim: serialize failed: " + err.Error())
 	}
-	return out
+	w.buf = out
+	return out[start:len(out):len(out)]
 }
 
 // randISN draws a random initial sequence number away from wraparound.

@@ -456,3 +456,10 @@ func TestNetProfileIsV6(t *testing.T) {
 
 // testRNG returns a fixed-seed RNG for deterministic tests.
 func testRNG() *rand.Rand { return rand.New(rand.NewPCG(77, 78)) }
+
+// newWire returns a wire for prof.
+func newWire(prof NetProfile) *wire {
+	w := &wire{}
+	w.reset(prof)
+	return w
+}

@@ -47,63 +47,71 @@ var defaultCiphers = []uint16{0x1301, 0x1302, 0x1303, 0xc02f, 0xc030}
 // BuildClientHello serializes a TLS handshake record containing a
 // ClientHello per the spec.
 func BuildClientHello(spec ClientHelloSpec) []byte {
+	return AppendClientHello(nil, spec)
+}
+
+// AppendClientHello appends the record BuildClientHello would build to
+// dst, so a caller that reuses dst allocates nothing. Length fields are
+// written as placeholders and patched once their extent is known.
+func AppendClientHello(dst []byte, spec ClientHelloSpec) []byte {
 	ciphers := spec.CipherSuites
 	if len(ciphers) == 0 {
 		ciphers = defaultCiphers
 	}
-
-	// Extensions.
-	var ext []byte
-	if spec.ServerName != "" {
-		name := []byte(spec.ServerName)
-		// server_name extension: list length (2) + type (1) + name length (2) + name
-		sni := make([]byte, 0, 5+len(name))
-		sni = append16(sni, uint16(3+len(name)))
-		sni = append(sni, sniHostNameType)
-		sni = append16(sni, uint16(len(name)))
-		sni = append(sni, name...)
-		ext = append16(ext, ExtensionServerName)
-		ext = append16(ext, uint16(len(sni)))
-		ext = append(ext, sni...)
-	}
-	// supported_versions advertising TLS 1.3 and 1.2, so middleboxes
-	// that look for it see a realistic hello.
-	sv := []byte{4, 0x03, 0x04, 0x03, 0x03}
-	ext = append16(ext, ExtensionSupportedVer)
-	ext = append16(ext, uint16(len(sv)))
-	ext = append(ext, sv...)
-
-	// ClientHello body.
-	body := make([]byte, 0, 128+len(ext))
-	body = append16(body, VersionTLS12)
-	body = append(body, spec.Random[:]...)
 	sid := spec.SessionID
 	if len(sid) > 32 {
 		sid = sid[:32]
 	}
-	body = append(body, byte(len(sid)))
-	body = append(body, sid...)
-	body = append16(body, uint16(2*len(ciphers)))
+
+	// Record header, then the handshake header.
+	rec := len(dst)
+	dst = append(dst, RecordTypeHandshake)
+	dst = append16(dst, VersionTLS10) // legacy record version
+	dst = append16(dst, 0)            // record length
+	hs := len(dst)
+	dst = append(dst, HandshakeClientHello, 0, 0, 0) // body length
+
+	// ClientHello body.
+	body := len(dst)
+	dst = append16(dst, VersionTLS12)
+	dst = append(dst, spec.Random[:]...)
+	dst = append(dst, byte(len(sid)))
+	dst = append(dst, sid...)
+	dst = append16(dst, uint16(2*len(ciphers)))
 	for _, c := range ciphers {
-		body = append16(body, c)
+		dst = append16(dst, c)
 	}
-	body = append(body, 1, 0) // compression methods: null only
-	body = append16(body, uint16(len(ext)))
-	body = append(body, ext...)
+	dst = append(dst, 1, 0) // compression methods: null only
+	extLen := len(dst)
+	dst = append16(dst, 0) // extensions length
 
-	// Handshake header.
-	hs := make([]byte, 0, 4+len(body))
-	hs = append(hs, HandshakeClientHello)
-	hs = append(hs, byte(len(body)>>16), byte(len(body)>>8), byte(len(body)))
-	hs = append(hs, body...)
+	// Extensions.
+	ext := len(dst)
+	if spec.ServerName != "" {
+		n := len(spec.ServerName)
+		// server_name extension: list length (2) + type (1) + name length (2) + name
+		dst = append16(dst, ExtensionServerName)
+		dst = append16(dst, uint16(5+n))
+		dst = append16(dst, uint16(3+n))
+		dst = append(dst, sniHostNameType)
+		dst = append16(dst, uint16(n))
+		dst = append(dst, spec.ServerName...)
+	}
+	// supported_versions advertising TLS 1.3 and 1.2, so middleboxes
+	// that look for it see a realistic hello.
+	dst = append16(dst, ExtensionSupportedVer)
+	dst = append16(dst, 5)
+	dst = append(dst, 4, 0x03, 0x04, 0x03, 0x03)
 
-	// Record header.
-	rec := make([]byte, 0, 5+len(hs))
-	rec = append(rec, RecordTypeHandshake)
-	rec = append16(rec, VersionTLS10) // legacy record version
-	rec = append16(rec, uint16(len(hs)))
-	rec = append(rec, hs...)
-	return rec
+	put16(dst[extLen:], uint16(len(dst)-ext))
+	n := len(dst) - body
+	dst[hs+1], dst[hs+2], dst[hs+3] = byte(n>>16), byte(n>>8), byte(n)
+	put16(dst[rec+3:], uint16(len(dst)-hs))
+	return dst
+}
+
+func put16(b []byte, v uint16) {
+	b[0], b[1] = byte(v>>8), byte(v)
 }
 
 func append16(b []byte, v uint16) []byte {

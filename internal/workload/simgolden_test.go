@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -123,22 +124,26 @@ func buildGoldenCorpus(t *testing.T) (*Scenario, []ConnSpec) {
 	return s, specs
 }
 
-// corpusDigest simulates the corpus under one impairment grade and
-// hashes the resulting serialized captures.
-func corpusDigest(t *testing.T, s *Scenario, specs []ConnSpec, grade string) string {
+// gradeConfig resolves an impairment grade name ("clean" is the zero
+// config).
+func gradeConfig(t *testing.T, grade string) faults.Config {
 	t.Helper()
-	imp := faults.Config{}
-	if grade != "clean" {
-		var err error
-		imp, err = faults.Grade(grade)
-		if err != nil {
-			t.Fatal(err)
-		}
+	if grade == "clean" {
+		return faults.Config{}
 	}
+	imp, err := faults.Grade(grade)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return imp
+}
+
+// digestConns serializes positional capture records and hashes them.
+func digestConns(t *testing.T, conns []*capture.Connection) string {
+	t.Helper()
 	var buf bytes.Buffer
 	w := capture.NewWriter(&buf)
-	for i := range specs {
-		conn := SimulateConn(&specs[i], s.Universe, s.CaptureConfig, imp)
+	for i, conn := range conns {
 		if conn == nil {
 			// Record absence positionally so a sampler change cannot
 			// silently cancel out a simulation change.
@@ -156,6 +161,18 @@ func corpusDigest(t *testing.T, s *Scenario, specs []ConnSpec, grade string) str
 	return hex.EncodeToString(sum[:])
 }
 
+// corpusDigest simulates the corpus under one impairment grade and
+// hashes the resulting serialized captures.
+func corpusDigest(t *testing.T, s *Scenario, specs []ConnSpec, grade string) string {
+	t.Helper()
+	imp := gradeConfig(t, grade)
+	conns := make([]*capture.Connection, len(specs))
+	for i := range specs {
+		conns[i] = SimulateConn(&specs[i], s.Universe, s.CaptureConfig, imp)
+	}
+	return digestConns(t, conns)
+}
+
 func TestSimCorpusGolden(t *testing.T) {
 	s, specs := buildGoldenCorpus(t)
 	if len(specs) < 25 {
@@ -170,5 +187,56 @@ func TestSimCorpusGolden(t *testing.T) {
 		if got != want {
 			t.Errorf("grade %s: corpus digest %s, want %s (per-connection simulation no longer byte-identical)", grade, got, want)
 		}
+	}
+}
+
+// TestSimulatorReuseMatchesGolden holds the reusable Simulator to the
+// golden digests: one Simulator per grade runs the corpus forward,
+// reversed and shuffled, so any state a connection leaves behind in
+// the engine, endpoints, path, censor, sampler, RNGs or packet buffers
+// would change some later connection's record. Records from earlier
+// connections are hashed only at the end, after the buffers they must
+// not alias have been reused many times over.
+func TestSimulatorReuseMatchesGolden(t *testing.T) {
+	s, specs := buildGoldenCorpus(t)
+	n := len(specs)
+	forward := make([]int, n)
+	reverse := make([]int, n)
+	for i := range forward {
+		forward[i], reverse[i] = i, n-1-i
+	}
+	shuffled := rand.New(rand.NewPCG(5, 11)).Perm(n)
+	for grade, want := range simCorpusGolden {
+		sim := NewSimulator(s.Universe, s.CaptureConfig, gradeConfig(t, grade))
+		for _, order := range []struct {
+			name string
+			idx  []int
+		}{{"forward", forward}, {"reverse", reverse}, {"shuffled", shuffled}} {
+			conns := make([]*capture.Connection, n)
+			for _, i := range order.idx {
+				conns[i] = sim.Simulate(&specs[i])
+			}
+			if got := digestConns(t, conns); got != want {
+				t.Errorf("grade %s, %s order on a reused Simulator: digest %s, want %s", grade, order.name, got, want)
+			}
+		}
+	}
+}
+
+// simEvasionGolden is the digest of SimulateEvasive over the corpus's
+// plain-browser specs, recorded while it still had its own setup path;
+// the evasion experiment's numbers must not move.
+const simEvasionGolden = "2d0106eca96aab7e4abb1374a29960c2e099d975bad87079aebb184bf43089cd"
+
+func TestSimulateEvasiveGolden(t *testing.T) {
+	s, specs := buildGoldenCorpus(t)
+	var conns []*capture.Connection
+	for i := range specs {
+		if specs[i].Behavior == tcpsim.BehaviorNormal {
+			conns = append(conns, SimulateEvasive(&specs[i], s.Universe))
+		}
+	}
+	if got := digestConns(t, conns); got != simEvasionGolden {
+		t.Errorf("evasive corpus digest %s, want %s", got, simEvasionGolden)
 	}
 }

@@ -18,8 +18,8 @@ import (
 //
 // At most ~4×workers simulated connections are buffered ahead of the
 // consumer; a slow consumer throttles the simulation. The caller must
-// either drain Next to io.EOF or call Close, or the producer goroutine
-// leaks.
+// either drain Next to io.EOF or call Close, or the producer and worker
+// goroutines leak.
 type StreamRun struct {
 	// futures carries, in spec order, one single-use channel per spec;
 	// each receives that spec's simulation result exactly once (nil
@@ -41,7 +41,8 @@ func (s *Scenario) Stream(workers int) *StreamRun {
 	return s.StreamSpecs(s.Specs(), workers)
 }
 
-// StreamSpecs starts a streaming simulation of a prepared spec list.
+// StreamSpecs starts a streaming simulation of a prepared spec list on
+// a fixed set of workers, each owning one Simulator.
 func (s *Scenario) StreamSpecs(specs []ConnSpec, workers int) *StreamRun {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -50,9 +51,24 @@ func (s *Scenario) StreamSpecs(specs []ConnSpec, workers int) *StreamRun {
 		futures: make(chan chan *capture.Connection, 4*workers),
 		stop:    make(chan struct{}),
 	}
+	// jobs hands a free worker its spec and the future to fill; the
+	// producer closes it on exit, which retires the workers.
+	type job struct {
+		i int
+		f chan *capture.Connection
+	}
+	jobs := make(chan job)
+	for w := 0; w < workers; w++ {
+		go func() {
+			sim := s.simulator()
+			for j := range jobs {
+				j.f <- sim.Simulate(&specs[j.i])
+			}
+		}()
+	}
 	go func() {
 		defer close(sr.futures)
-		sem := make(chan struct{}, workers)
+		defer close(jobs)
 		for i := range specs {
 			f := make(chan *capture.Connection, 1)
 			select {
@@ -61,15 +77,11 @@ func (s *Scenario) StreamSpecs(specs []ConnSpec, workers int) *StreamRun {
 				return
 			}
 			select {
-			case sem <- struct{}{}:
+			case jobs <- job{i, f}:
 			case <-sr.stop:
 				f <- nil // unblock a Next already waiting on f
 				return
 			}
-			go func(i int) {
-				defer func() { <-sem }()
-				f <- SimulateConn(&specs[i], s.Universe, s.CaptureConfig, s.Impairments)
-			}(i)
 		}
 	}()
 	return sr
@@ -99,8 +111,8 @@ func (sr *StreamRun) Next() (*capture.Connection, error) {
 func (sr *StreamRun) Close() {
 	sr.stopOnce.Do(func() { close(sr.stop) })
 	if !sr.done.Load() {
-		// Release buffered futures so their sim goroutines' sends (to
-		// cap-1 channels) are garbage, not blockers, and observe the
+		// Release buffered futures so the workers' sends (to cap-1
+		// channels) are garbage, not blockers, and observe the
 		// producer's close. A concurrent Next draining the same channel
 		// is fine: both receivers discard toward the same io.EOF.
 		for range sr.futures {

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"tamperdetect/internal/capture"
 )
 
 func TestStreamSpecsMatchesRun(t *testing.T) {
@@ -143,5 +145,46 @@ func TestStreamBoundedReadAhead(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("stream yielded nothing")
+	}
+}
+
+// TestRunnersAgreeAcrossWorkers checks that the per-worker Simulators
+// behind RunSpecs and StreamSpecs leak nothing between connections:
+// both runners, at 1, 2 and 8 workers, yield byte-identical captures.
+func TestRunnersAgreeAcrossWorkers(t *testing.T) {
+	s, err := BuildScenario("runners", 1200, 24, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := s.Specs()
+	sampled := func(conns []*capture.Connection) []*capture.Connection {
+		var out []*capture.Connection
+		for _, c := range conns {
+			if c != nil {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	want := digestConns(t, sampled(s.RunSpecs(specs, 1)))
+	for _, workers := range []int{1, 2, 8} {
+		if got := digestConns(t, sampled(s.RunSpecs(specs, workers))); got != want {
+			t.Errorf("RunSpecs workers=%d: digest %s, want %s", workers, got, want)
+		}
+		sr := s.StreamSpecs(specs, workers)
+		var streamed []*capture.Connection
+		for {
+			c, err := sr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("StreamSpecs workers=%d: Next: %v", workers, err)
+			}
+			streamed = append(streamed, c)
+		}
+		if got := digestConns(t, streamed); got != want {
+			t.Errorf("StreamSpecs workers=%d: digest %s, want %s", workers, got, want)
+		}
 	}
 }

@@ -24,11 +24,9 @@ import (
 	"tamperdetect/internal/domains"
 	"tamperdetect/internal/faults"
 	"tamperdetect/internal/geo"
-	"tamperdetect/internal/httpwire"
 	"tamperdetect/internal/middlebox"
 	"tamperdetect/internal/netsim"
 	"tamperdetect/internal/tcpsim"
-	"tamperdetect/internal/tlswire"
 )
 
 // CensorStyle identifies how a country (or one of its ASes) tampers.
@@ -590,9 +588,10 @@ func (s *Scenario) RunSpecs(specs []ConnSpec, workers int) []*capture.Connection
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sim := s.simulator()
 			for r := range ch {
 				for i := r[0]; i < r[1]; i++ {
-					out[i] = SimulateConn(&specs[i], s.Universe, s.CaptureConfig, s.Impairments)
+					out[i] = sim.Simulate(&specs[i])
 				}
 			}
 		}()
@@ -609,165 +608,17 @@ func (s *Scenario) RunSpecs(specs []ConnSpec, workers int) []*capture.Connection
 	return out
 }
 
-// SimulateConn runs one connection through the full stack and returns
-// its capture record (nil if the sampler did not select it). A non-zero
-// imp applies benign link impairments to the path; endpoints get extra
-// retransmission budget so an impaired-but-untampered connection still
-// completes, and the capture tap verifies checksums (corrupted packets
-// behave as loss, never as records).
-func SimulateConn(spec *ConnSpec, u *domains.Universe, capCfg capture.Config, imp faults.Config) *capture.Connection {
-	rng := rand.New(rand.NewPCG(spec.Seed, spec.Seed^0xabcdef))
-	sim := netsim.NewSim(spec.Start)
-
-	clientIP := spec.AS.RandomAddr(rng, spec.V6)
-	if spec.HostIdx >= 0 {
-		clientIP = spec.AS.HostAddr(spec.HostIdx, spec.V6)
-	}
-	serverIP := serverIP4
-	if spec.V6 {
-		serverIP = serverIP6
-	}
-	dstPort := uint16(443)
-	if !spec.UseTLS {
-		dstPort = 80
-	}
-	srcPort := uint16(32768 + rng.IntN(28000))
-
-	cprof := tcpsim.NetProfile{
-		LocalIP: clientIP, RemoteIP: serverIP,
-		LocalPort: srcPort, RemotePort: dstPort,
-		InitialTTL: spec.TTLInit,
-		IPID:       tcpsim.IPIDCounter,
-		IPIDValue:  uint16(rng.IntN(60000)),
-		Window:     64240,
-		SYNOptions: true,
-	}
-	if spec.IPIDZero {
-		cprof.IPID = tcpsim.IPIDZero
-	}
-	if spec.Behavior == tcpsim.BehaviorScanner {
-		cprof.IPID = tcpsim.IPIDFixed
-		cprof.IPIDValue = 54321
-		cprof.SYNOptions = false
-		cprof.InitialTTL = 255
-	}
-	sprof := tcpsim.NetProfile{
-		LocalIP: serverIP, RemoteIP: clientIP,
-		LocalPort: dstPort, RemotePort: srcPort,
-		InitialTTL: 64, IPID: tcpsim.IPIDCounter, IPIDValue: uint16(rng.IntN(60000)),
-		Window: 65535, SYNOptions: true,
-	}
-
-	ccfg := tcpsim.ClientConfig{Net: cprof, Behavior: spec.Behavior}
-	if imp.Enabled() {
-		// Real stacks retry far more than our clean-path defaults; give
-		// impaired connections the budget to survive burst loss.
-		ccfg.SYNRetries = 6
-		ccfg.DataRetries = 5
-	}
-	needsRequest := spec.Behavior == tcpsim.BehaviorNormal ||
-		spec.Behavior == tcpsim.BehaviorDoubleSYN ||
-		spec.Behavior == tcpsim.BehaviorAbandon ||
-		spec.Behavior == tcpsim.BehaviorResetClose
-	if spec.Domain != nil && needsRequest {
-		ccfg.Segments = requestSegments(spec, rng)
-		if spec.SYNPayload {
-			// The request rides the SYN; no separate data segment.
-			ccfg.SYNPayload = ccfg.Segments[0].Data
-			ccfg.Segments = ccfg.Segments[1:]
-		}
-	}
-
-	cli := tcpsim.NewClient(sim, ccfg, rng)
-	srv := tcpsim.NewServer(sim, tcpsim.ServerConfig{Net: sprof}, rng)
-
-	var mbs []netsim.Middlebox
-	if pols := policiesFor(spec, u); len(pols) > 0 {
-		mbs = append(mbs, middlebox.NewEngine(pols, rng, sim.Now))
-	}
-	segs := make([]netsim.Segment, len(mbs)+1)
-	for i := range segs {
-		segs[i] = netsim.Segment{
-			Delay: time.Duration(5+rng.IntN(40)) * time.Millisecond,
-			Hops:  uint8(3 + rng.IntN(7)),
-		}
-	}
-	pathCfg := netsim.PathConfig{Segments: segs, Middleboxes: mbs}
-	if imp.Enabled() {
-		// Per-connection impairment chain, deterministically seeded from
-		// the spec and the grade so sweeps across grades decorrelate.
-		iseed := spec.Seed ^ 0xfa0175
-		pathCfg.Hook = faults.NewChain(imp, rand.New(rand.NewPCG(iseed, iseed^splitmixStr(imp.Grade)))).Hook
-	}
-	path := netsim.NewPath(sim, pathCfg, cli, srv)
-
-	if capCfg.Rate == 0 {
-		capCfg = capture.DefaultConfig()
-	}
-	if capCfg.ShuffleWithinSecond == nil {
-		capCfg.ShuffleWithinSecond = rand.New(rand.NewPCG(spec.Seed^0x5417, spec.Seed))
-	}
-	// The deployment's tap never surfaces checksum-broken packets.
-	capCfg.VerifyChecksums = true
-	sampler := capture.NewSampler(capCfg)
-	path.Tap = sampler.Inbound
-	cli.Attach(path.SendFromClient)
-	srv.Attach(path.SendFromServer)
-	cli.Start()
-	sim.Run(500000)
-	conns := sampler.Drain(sim.Now().Add(45 * time.Second))
-	if len(conns) == 0 {
-		return nil
-	}
-	return conns[0]
-}
-
-// requestSegments builds the client's data script.
-func requestSegments(spec *ConnSpec, rng *rand.Rand) []tcpsim.Segment {
-	d := spec.Domain
-	if spec.UseTLS {
-		var random [32]byte
-		for i := 0; i < len(random); i += 8 {
-			v := rng.Uint64()
-			for j := 0; j < 8; j++ {
-				random[i+j] = byte(v >> (8 * j))
-			}
-		}
-		hello := tlswire.BuildClientHello(tlswire.ClientHelloSpec{ServerName: d.Name, Random: random})
-		segs := []tcpsim.Segment{{Data: hello}}
-		if spec.KeywordTrigger {
-			// Enterprise firewalls see inside TLS (trusted-cert MitM,
-			// §4.1); we model the visible keyword as a follow-up
-			// cleartext-equivalent record after the response.
-			segs = append(segs, tcpsim.Segment{
-				Data:          []byte("\x17\x03\x03 app-data " + blockKeyword),
-				AfterResponse: true,
-			})
-		}
-		return segs
-	}
-	req := httpwire.BuildRequest("GET", d.Name, "/", map[string]string{"User-Agent": "Mozilla/5.0"})
-	segs := []tcpsim.Segment{{Data: req}}
-	if spec.KeywordTrigger {
-		segs = append(segs, tcpsim.Segment{
-			Data:          httpwire.BuildRequest("GET", d.Name, "/"+blockKeyword, map[string]string{"User-Agent": "Mozilla/5.0"}),
-			AfterResponse: true,
-		})
-	} else if rng.Float64() < 0.25 {
-		// Some keep-alive second requests, so Post-Data prefixes exist
-		// organically.
-		segs = append(segs, tcpsim.Segment{
-			Data:          httpwire.BuildRequest("GET", d.Name, "/page2", nil),
-			AfterResponse: true,
-		})
-	}
-	return segs
-}
-
 // SimulateEvasive runs a connection against the §6 "ideal censor"
 // (middlebox.EvasiveCensor) instead of the spec's configured policy,
 // for the evasion blind-spot experiment.
+//
+// The experiment runs every client as a plain browser — a random
+// address, counter IP-IDs, the request in its own data segment — so
+// the spec's repeat-client, IP-ID and request-on-SYN quirks are
+// cleared before simulating.
 func SimulateEvasive(spec *ConnSpec, u *domains.Universe) *capture.Connection {
+	plain := *spec
+	plain.HostIdx, plain.IPIDZero, plain.SYNPayload = -1, false, false
 	c := spec.Country
 	ev := middlebox.NewEvasiveCensor(func(d string) bool {
 		if dom := u.ByName(d); dom != nil {
@@ -775,59 +626,5 @@ func SimulateEvasive(spec *ConnSpec, u *domains.Universe) *capture.Connection {
 		}
 		return false
 	})
-	return simulateWith(spec, ev)
-}
-
-// simulateWith is SimulateConn with an explicit middlebox chain.
-func simulateWith(spec *ConnSpec, mb netsim.Middlebox) *capture.Connection {
-	rng := rand.New(rand.NewPCG(spec.Seed, spec.Seed^0xabcdef))
-	sim := netsim.NewSim(spec.Start)
-	clientIP := spec.AS.RandomAddr(rng, spec.V6)
-	serverIP := serverIP4
-	if spec.V6 {
-		serverIP = serverIP6
-	}
-	dstPort := uint16(443)
-	if !spec.UseTLS {
-		dstPort = 80
-	}
-	srcPort := uint16(32768 + rng.IntN(28000))
-	cprof := tcpsim.NetProfile{
-		LocalIP: clientIP, RemoteIP: serverIP,
-		LocalPort: srcPort, RemotePort: dstPort,
-		InitialTTL: spec.TTLInit, IPID: tcpsim.IPIDCounter,
-		IPIDValue: uint16(rng.IntN(60000)), Window: 64240, SYNOptions: true,
-	}
-	sprof := tcpsim.NetProfile{
-		LocalIP: serverIP, RemoteIP: clientIP,
-		LocalPort: dstPort, RemotePort: srcPort,
-		InitialTTL: 64, IPID: tcpsim.IPIDCounter, IPIDValue: uint16(rng.IntN(60000)),
-		Window: 65535, SYNOptions: true,
-	}
-	ccfg := tcpsim.ClientConfig{Net: cprof, Behavior: spec.Behavior}
-	if spec.Domain != nil {
-		ccfg.Segments = requestSegments(spec, rng)
-	}
-	cli := tcpsim.NewClient(sim, ccfg, rng)
-	srv := tcpsim.NewServer(sim, tcpsim.ServerConfig{Net: sprof}, rng)
-	path := netsim.NewPath(sim, netsim.PathConfig{
-		Segments: []netsim.Segment{
-			{Delay: time.Duration(5+rng.IntN(40)) * time.Millisecond, Hops: uint8(3 + rng.IntN(7))},
-			{Delay: time.Duration(5+rng.IntN(40)) * time.Millisecond, Hops: uint8(3 + rng.IntN(7))},
-		},
-		Middleboxes: []netsim.Middlebox{mb},
-	}, cli, srv)
-	capCfg := capture.DefaultConfig()
-	capCfg.ShuffleWithinSecond = rand.New(rand.NewPCG(spec.Seed^0x5417, spec.Seed))
-	sampler := capture.NewSampler(capCfg)
-	path.Tap = sampler.Inbound
-	cli.Attach(path.SendFromClient)
-	srv.Attach(path.SendFromServer)
-	cli.Start()
-	sim.Run(500000)
-	conns := sampler.Drain(sim.Now().Add(45 * time.Second))
-	if len(conns) == 0 {
-		return nil
-	}
-	return conns[0]
+	return NewSimulator(u, capture.Config{}, faults.Config{}).simulate(&plain, ev)
 }

@@ -231,3 +231,36 @@ func TestCountryTableSane(t *testing.T) {
 		}
 	}
 }
+
+// simulateAllocsBound caps the mean heap allocations per connection of
+// a warmed Simulator on the default global mix. Measured 8.4 clean and
+// 8.6 lossy (go1.24, linux/amd64): the returned record (Connection,
+// the Packets slice as it grows, payload copies, Drain's result slice)
+// plus, for censored connections, their policies and forged packets,
+// and for impaired ones the corrupted and duplicated copies. The bound
+// leaves ~40% headroom; the simulator before the arena made ~125.
+const simulateAllocsBound = 12
+
+func TestSimulateSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s, err := BuildScenario("allocs", 400, 24, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := s.Specs()
+	for _, grade := range []string{"clean", "lossy"} {
+		sim := NewSimulator(s.Universe, s.CaptureConfig, gradeConfig(t, grade))
+		// AllocsPerRun's own warm-up pass sizes every reusable buffer.
+		perConn := testing.AllocsPerRun(2, func() {
+			for i := range specs {
+				sim.Simulate(&specs[i])
+			}
+		}) / float64(len(specs))
+		t.Logf("%s: %.1f allocs per connection", grade, perConn)
+		if perConn > simulateAllocsBound {
+			t.Errorf("%s: %.1f allocs per simulated connection, bound %d", grade, perConn, simulateAllocsBound)
+		}
+	}
+}

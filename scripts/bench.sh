@@ -9,9 +9,12 @@
 # benchmark (BenchmarkStreamTelemetryOverhead, telemetry off vs on),
 # the tracing cost benchmark (BenchmarkStreamTraceOverhead, tracer
 # off vs attached with per-record sampling off),
-# and the virtual-time generator benchmark (BenchmarkLongitudinalGen,
+# the virtual-time generator benchmark (BenchmarkLongitudinalGen,
 # arrival expansion + simulation + TDCAP encode over 48h and 336h
-# windows)
+# windows), and the connection simulator benchmark
+# (BenchmarkScenarioSimulation, ns/B/allocs per connection on a warmed
+# workload.Simulator, at a fixed 20000 connections per run so its
+# allocation gate means the same thing in the check.sh smoke)
 # BENCH_COUNT times and aggregates the per-cell medians into
 # BENCH_pipeline.json via scripts/benchjson — the recorded numbers
 # EXPERIMENTS.md's Performance section tracks across PRs. Run from
@@ -61,6 +64,9 @@ go test -run '^$' -bench 'BenchmarkStreamTraceOverhead' -benchtime "$BENCHTIME" 
 
 echo "== go test -bench BenchmarkLongitudinalGen -benchtime $BENCHTIME -count $COUNT =="
 go test -run '^$' -bench 'BenchmarkLongitudinalGen' -benchtime "$BENCHTIME" -count "$COUNT" . | tee -a "$tmp"
+
+echo "== go test -bench BenchmarkScenarioSimulation -benchtime 20000x -count $COUNT =="
+go test -run '^$' -bench 'BenchmarkScenarioSimulation' -benchtime 20000x -benchmem -count "$COUNT" . | tee -a "$tmp"
 
 go run ./scripts/benchjson -o "$OUT" <"$tmp"
 echo "wrote $OUT"

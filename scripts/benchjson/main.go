@@ -8,7 +8,9 @@
 // present, additionally record the geo range-cache delta as a
 // geo_lookup section (uncached vs cached ns/op and their ratio);
 // BenchmarkDecodeParallel and BenchmarkShardedIngest lines record the
-// decode_parallel and sharded_ingest grids with their scaling ratios.
+// decode_parallel and sharded_ingest grids with their scaling ratios;
+// BenchmarkScenarioSimulation lines record the per-connection cost of
+// the packet-level simulator as scenario_simulation.
 //
 // Usage:
 //
@@ -144,18 +146,34 @@ type longitudinalGen struct {
 	Cells []longitudinalGenCell `json:"cells"`
 }
 
+// scenarioSimulation is BenchmarkScenarioSimulation: one connection
+// simulated end to end (endpoints, censor, path, capture) on a warmed
+// workload.Simulator, per connection.
+type scenarioSimulation struct {
+	NsPerConn     float64 `json:"ns_per_conn"`
+	BytesPerConn  float64 `json:"bytes_per_conn"`
+	AllocsPerConn float64 `json:"allocs_per_conn"`
+}
+
+// simulateAllocsGate caps scenario_simulation's allocs_per_conn. It is
+// the bound of workload's TestSimulateSteadyStateAllocs: a warmed
+// simulator allocates ~8 times per connection, the simulator before
+// the per-worker arena ~125.
+const simulateAllocsGate = 12
+
 type report struct {
-	Benchmark       string             `json:"benchmark"`
-	GoVersion       string             `json:"go_version"`
-	CPU             string             `json:"cpu,omitempty"`
-	Runs            int                `json:"runs"`
-	Results         []result           `json:"results"`
-	GeoLookup       *geoLookup         `json:"geo_lookup,omitempty"`
-	Telemetry       *telemetryOverhead `json:"stream_telemetry_overhead,omitempty"`
-	TraceOverhead   *telemetryOverhead `json:"stream_trace_overhead,omitempty"`
-	DecodeParallel  *decodeParallel    `json:"decode_parallel,omitempty"`
-	ShardedIngest   *shardedIngest     `json:"sharded_ingest,omitempty"`
-	LongitudinalGen *longitudinalGen   `json:"longitudinal_gen,omitempty"`
+	Benchmark       string              `json:"benchmark"`
+	GoVersion       string              `json:"go_version"`
+	CPU             string              `json:"cpu,omitempty"`
+	Runs            int                 `json:"runs"`
+	Results         []result            `json:"results"`
+	GeoLookup       *geoLookup          `json:"geo_lookup,omitempty"`
+	Telemetry       *telemetryOverhead  `json:"stream_telemetry_overhead,omitempty"`
+	TraceOverhead   *telemetryOverhead  `json:"stream_trace_overhead,omitempty"`
+	DecodeParallel  *decodeParallel     `json:"decode_parallel,omitempty"`
+	ShardedIngest   *shardedIngest      `json:"sharded_ingest,omitempty"`
+	LongitudinalGen *longitudinalGen    `json:"longitudinal_gen,omitempty"`
+	Simulation      *scenarioSimulation `json:"scenario_simulation,omitempty"`
 }
 
 var (
@@ -166,6 +184,7 @@ var (
 	decodeRe    = regexp.MustCompile(`^BenchmarkDecodeParallel/path=(scan|seq)/workers=(\d+)(?:-\d+)?$`)
 	shardedRe   = regexp.MustCompile(`^BenchmarkShardedIngest/path=(scan|sharded)/(?:workers|shards)=(\d+)(?:-\d+)?$`)
 	longGenRe   = regexp.MustCompile(`^BenchmarkLongitudinalGen/preset=([A-Za-z0-9_-]+)/hours=(\d+)(?:-\d+)?$`)
+	simRe       = regexp.MustCompile(`^BenchmarkScenarioSimulation(?:-\d+)?$`)
 )
 
 func main() {
@@ -221,6 +240,7 @@ func aggregate(src *os.File) (*report, error) {
 		hours  int
 	}
 	lgSamples := map[lgCell]map[string][]float64{}
+	simSamples := map[string][]float64{}
 	rep := &report{Benchmark: "BenchmarkStreamPipeline", GoVersion: runtime.Version()}
 	runs := 0
 	sc := bufio.NewScanner(src)
@@ -307,6 +327,14 @@ func aggregate(src *os.File) (*report, error) {
 			for i := 2; i+1 < len(fields); i += 2 {
 				if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
 					lgSamples[c][fields[i+1]] = append(lgSamples[c][fields[i+1]], v)
+				}
+			}
+			continue
+		}
+		if simRe.MatchString(fields[0]) {
+			for i := 2; i+1 < len(fields); i += 2 {
+				if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
+					simSamples[fields[i+1]] = append(simSamples[fields[i+1]], v)
 				}
 			}
 			continue
@@ -485,6 +513,13 @@ func aggregate(src *os.File) (*report, error) {
 		})
 		rep.LongitudinalGen = lg
 	}
+	if len(simSamples["ns/op"]) > 0 {
+		rep.Simulation = &scenarioSimulation{
+			NsPerConn:     median(simSamples["ns/op"]),
+			BytesPerConn:  median(simSamples["B/op"]),
+			AllocsPerConn: median(simSamples["allocs/op"]),
+		}
+	}
 	return rep, nil
 }
 
@@ -608,6 +643,15 @@ func validateFile(path string) error {
 				return fmt.Errorf("%s: longitudinal_gen preset=%s hours=%d sustains only %.2f virtual-hours/sec (a 14-day window would exceed 60 s)",
 					path, c.Preset, c.Hours, c.VirtualHoursPerSec)
 			}
+		}
+	}
+	if m := rep.Simulation; m != nil {
+		if m.NsPerConn <= 0 || m.BytesPerConn < 0 || m.AllocsPerConn < 0 {
+			return fmt.Errorf("%s: scenario_simulation has invalid per-connection metrics", path)
+		}
+		if m.AllocsPerConn > simulateAllocsGate {
+			return fmt.Errorf("%s: scenario_simulation makes %.1f allocs/conn (gate requires <= %d)",
+				path, m.AllocsPerConn, simulateAllocsGate)
 		}
 	}
 	return nil
