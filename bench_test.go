@@ -491,16 +491,14 @@ func BenchmarkStreamPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeParallel measures the decode-parallel front end
-// against the sequential one: path=scan is the scanner + decode-in-
-// worker pipeline (Stream's default), path=seq is the single-goroutine
-// decode source (Config.SequentialDecode). Both run the identical
-// decode+classify+count work over the identical capture bytes at
-// workers 1, 4, and 16, batch 64. scripts/bench.sh aggregates the grid
-// into BENCH_pipeline.json's decode_parallel section, and the scaling
-// gate (TestDecodeParallelScalingGate via scripts/check.sh) enforces
-// workers=16 >= 2x workers=1 on path=scan wherever the hardware has
-// the cores to show it.
+// BenchmarkDecodeParallel measures the decode-in-worker front end:
+// path=scan is Stream (a scanner goroutine plus decode in the workers)
+// running decode+classify+count over the same capture bytes at workers
+// 1, 4, and 16, batch 64. scripts/bench.sh aggregates the grid into
+// BENCH_pipeline.json's decode_parallel section, and the scaling gate
+// (TestDecodeParallelScalingGate via scripts/check.sh) enforces
+// workers=16 >= 2x workers=1 wherever the hardware has the cores to
+// show it.
 func BenchmarkDecodeParallel(b *testing.B) {
 	conns, _, _ := benchData(b)
 	var buf bytes.Buffer
@@ -514,39 +512,34 @@ func BenchmarkDecodeParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
-	for _, path := range []struct {
-		name string
-		seq  bool
-	}{{"scan", false}, {"seq", true}} {
-		for _, workers := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("path=%s/workers=%d", path.name, workers), func(b *testing.B) {
-				b.SetBytes(int64(len(data)))
-				b.ReportAllocs()
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				classified := int64(0)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					counts, err := pipeline.Stream(context.Background(),
-						bytes.NewReader(data),
-						pipeline.Config{Workers: workers, BatchSize: 64, SequentialDecode: path.seq}, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if counts.Classified != int64(len(conns)) {
-						b.Fatalf("classified %d of %d", counts.Classified, len(conns))
-					}
-					classified += counts.Classified
+	for _, workers := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("path=scan/workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			classified := int64(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				counts, err := pipeline.Stream(context.Background(),
+					bytes.NewReader(data),
+					pipeline.Config{Workers: workers, BatchSize: 64}, nil)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				runtime.ReadMemStats(&after)
-				records := float64(classified)
-				b.ReportMetric(records/b.Elapsed().Seconds(), "conns/sec")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
-				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/records, "B/record")
-				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/records, "allocs/record")
-			})
-		}
+				if counts.Classified != int64(len(conns)) {
+					b.Fatalf("classified %d of %d", counts.Classified, len(conns))
+				}
+				classified += counts.Classified
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			records := float64(classified)
+			b.ReportMetric(records/b.Elapsed().Seconds(), "conns/sec")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/records, "B/record")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/records, "allocs/record")
+		})
 	}
 }
 

@@ -133,12 +133,9 @@ func TestRunReport(t *testing.T) {
 			t.Fatalf("run(workers=%d): %v", workers, err)
 		}
 	}
-	// Both matcher engines and both decode paths must scan cleanly.
+	// Both matcher engines must scan cleanly.
 	if err := run(path, options{classifier: "legacy", workers: 2}); err != nil {
 		t.Fatalf("run(-classifier legacy): %v", err)
-	}
-	if err := run(path, options{seqDecode: true, workers: 2}); err != nil {
-		t.Fatalf("run(-seq-decode): %v", err)
 	}
 	if err := run(path, options{classifier: "nonsense"}); err == nil {
 		t.Fatal("run accepted an unknown -classifier")

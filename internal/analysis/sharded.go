@@ -58,9 +58,10 @@ func (s *Sharded) Observe(worker int, it pipeline.Item) {
 }
 
 // Merged folds every shard into one aggregator and returns it. Call
-// it once, after pipeline.Run has returned (never concurrently with
-// Observe): the shards merge destructively into shard 0, so a second
-// call would double-count and is rejected.
+// it once, after the pipeline run (pipeline.Run, Stream or
+// ShardedScan) has returned, never concurrently with Observe: the
+// shards merge destructively into shard 0, so a second call would
+// double-count and is rejected.
 func (s *Sharded) Merged() (Aggregator, error) {
 	if s.merged {
 		return nil, fmt.Errorf("analysis: Sharded.Merged called twice")

@@ -1,35 +1,38 @@
-// Package pipeline implements the streaming classification pipeline:
-// a source of connection records fans out across a pool of classifier
-// workers and fans back into a single ordered or unordered sink, with
-// bounded channel depths (backpressure end to end), per-stage
-// counters, context-based cancellation, and a graceful drain on both
-// normal EOF and early shutdown.
-//
-// This is the paper's deployment shape: the detector runs continuously
+// Package pipeline implements the streaming classification pipeline.
+// It is the paper's deployment shape: the detector runs continuously
 // over a sampled stream of connections rather than over batches loaded
-// into memory. Every stage holds O(Workers + Depth + BatchSize)
-// records, so arbitrarily large captures stream in constant memory:
+// into memory. Every run is one engine:
 //
-//	source (decode) ──▶ [depth] ──▶ classify ×W ──▶ [depth] ──▶ sink
+//	producer 0   ──▶ [depth] ──▶ workers ──▶ [depth] ──┐
+//	producer 1   ──▶ [depth] ──▶ workers ──▶ [depth] ──┼─▶ reassembler ──▶ sink
+//	   ...                                             │
+//	producer K-1 ──▶ [depth] ──▶ workers ──▶ [depth] ──┘
 //
-// Records move through the inter-stage channels in pooled batches of
-// Config.BatchSize, which amortises channel synchronisation over many
-// records; each worker owns a private classifier instance and scratch
-// arena so the per-record classify cost is allocation-free.
+// A producer turns one input stream into batches of records with
+// contiguous indexes. Run wraps a Source and decodes on the producer;
+// Stream wraps a capture.Scanner, whose batches carry raw record
+// bytes that the workers decode; ShardedScan runs one scanner
+// producer per segment of an indexed capture. Each producer has its
+// own worker group, all running one loop: decode when the batch is
+// raw, then classify, tally and observe. The reassembler hands
+// batches to the sink on the caller's goroutine — in index order
+// (producer by producer) when Config.Ordered is set, as they finish
+// otherwise.
 //
-// A slow sink throttles the workers, which throttle the decoder, which
-// throttles the source. Cancelling the context stops every stage;
-// records already decoded but not delivered are counted as Dropped.
+// Records move in recycled batches of Config.BatchSize, which amortises
+// channel synchronisation; each worker owns a private classifier and
+// scratch arena, so the steady state is allocation-free. Every stage
+// holds O(Workers + Depth + BatchSize) records per producer, so
+// arbitrarily large captures stream in constant memory. A slow sink
+// throttles the workers, which throttle the producers. Cancelling the
+// context stops every stage; records decoded but not delivered are
+// counted as Dropped.
 package pipeline
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"time"
 
 	"tamperdetect/internal/capture"
 	"tamperdetect/internal/core"
@@ -78,8 +81,8 @@ type Config struct {
 	// Depth bounds each inter-stage channel, in records; 0 means
 	// DefaultDepth. Together with BatchSize it bounds the records in
 	// flight: each channel holds max(1, Depth/BatchSize) batches, so at
-	// most 2*Depth + (Workers+2)*BatchSize records exist between the
-	// source and the sink at any instant.
+	// most 2*Depth + (Workers+2)*BatchSize records per producer exist
+	// between the input and the sink at any instant.
 	Depth int
 	// BatchSize groups records N at a time through the inter-stage
 	// channels, amortising channel synchronisation across the batch; 0
@@ -92,13 +95,6 @@ type Config struct {
 	// 2, …). Unordered delivery has lower latency skew under uneven
 	// classify costs; ordered delivery is deterministic.
 	Ordered bool
-	// SequentialDecode makes Stream decode every record on the single
-	// source goroutine (the pre-parallel-decode pipeline) instead of
-	// the default scanner + decode-in-worker path (see ScanTDCAP).
-	// Delivery semantics are identical either way; the sequential path
-	// remains chiefly as a baseline and for diagnosing the parallel
-	// one. Run is unaffected: non-TDCAP sources are always sequential.
-	SequentialDecode bool
 	// Classifier overrides the classifier; nil builds one with
 	// core.DefaultConfig(). A single *core.Classifier is shared by all
 	// workers (it is concurrency-safe).
@@ -124,7 +120,8 @@ type Config struct {
 	// histograms, queue-depth gauges, per-signature and per-
 	// disposition counters, and capture throughput. The per-record
 	// cost is two sharded atomic adds (no allocation); stage latency
-	// is timed per batch. When Metrics is nil the run also uses
+	// is timed per batch, from the same clock reads that time the
+	// Tracer's batch spans. When Metrics is nil the run also uses
 	// Telemetry.Metrics() as its counter block, so the exposed
 	// records_total series follow the run automatically.
 	Telemetry *Telemetry
@@ -133,393 +130,30 @@ type Config struct {
 	// queue-wait / decode / classify / observe / sink spans always,
 	// plus per-record spans for head-sampled record indexes
 	// (trace.Config.SampleEvery). Emission is allocation-free; with
-	// per-record sampling off the added cost is a few time.Now calls
-	// per batch, pinned by TestTraceHotPathAllocationFree and the
+	// per-record sampling off the added cost is one clock read per
+	// stage per batch, pinned by TestTraceHotPathAllocationFree and the
 	// stream_trace_overhead bench gate.
 	Tracer *trace.Tracer
 }
 
 // Run streams records from src through the classifier pool into sink
 // and blocks until the pipeline has fully drained: on return no
-// pipeline goroutine is left running, regardless of how the run ended.
+// pipeline goroutine is left running, except a producer still blocked
+// inside src.Next after cancellation (see Source).
 //
 // Run returns the final counter snapshot and the first error among
 // the sink's, the source's, and the context's. A nil sink counts and
-// discards. EOF from the source is a clean end of stream.
+// discards. EOF from the source is a clean end of stream; any other
+// source error stops reading but still delivers every record read
+// before it.
 func Run(ctx context.Context, src Source, cfg Config, sink Sink) (Counts, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	depth := cfg.Depth
-	if depth <= 0 {
-		depth = DefaultDepth
-	}
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
-	if batch > depth {
-		batch = depth
-	}
-	cl := cfg.Classifier
-	if cl == nil {
-		cl = core.NewClassifier(core.DefaultConfig())
-	}
-	tel := cfg.Telemetry
-	m := cfg.Metrics
-	if m == nil {
-		if tel != nil {
-			m = tel.Metrics()
-		} else {
-			m = &Metrics{}
-		}
-	}
-	if tel != nil {
-		tel.attach(m)
-	}
-	if sink == nil {
-		sink = func(Item) error { return nil }
-	}
-	// Producer ring plan mirrors ScanTDCAP: 0 = the decode (source)
-	// goroutine, 1 = the deliver stage, 2+w = worker w. The sequential
-	// path emits batch-level spans only — per-record spans belong to
-	// the scan paths, where decode runs in the workers.
-	rt := newRunTrace(cfg.Tracer)
-	var decRing, sinkRing *trace.Ring
-	if rt != nil {
-		decRing = rt.t.Ring(0)
-		rt.t.LabelRing(0, "decode/0")
-		sinkRing = rt.t.Ring(1)
-		rt.t.LabelRing(1, "sink")
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Channel capacities are expressed in batches so Depth keeps
-	// bounding the records in flight regardless of the batch size.
-	chanCap := depth / batch
-	if chanCap < 1 {
-		chanCap = 1
-	}
-	decoded := make(chan []Item, chanCap) // decode → classify (Res unset)
-	results := make(chan []Item, chanCap) // classify → deliver
-
-	// Batches recycle through a pool; a drained batch is cleared before
-	// reuse so pooled slices don't pin delivered records.
-	pool := sync.Pool{New: func() any {
-		b := make([]Item, 0, batch)
-		return &b
-	}}
-	getBatch := func() []Item { return (*pool.Get().(*[]Item))[:0] }
-	putBatch := func(b []Item) {
-		b = b[:cap(b)]
-		clear(b)
-		b = b[:0]
-		pool.Put(&b)
-	}
-
-	// Decode stage: a single goroutine pulls records off the source
-	// and enqueues them batch by batch. It stops on EOF, on a source
-	// error, or when the context is cancelled (backpressure propagates
-	// here: a full decoded channel blocks the source).
-	var srcErr error // written before decodeDone closes
-	decodeDone := make(chan struct{})
-	go func() {
-		defer close(decodeDone)
-		defer close(decoded)
-		// Telemetry: batchStart tracks decode time per batch (excluding
-		// time blocked on a full channel, which the queue gauge shows
-		// instead); srcBytes feeds capture throughput when the source
-		// can report raw bytes consumed.
-		var batchStart time.Time
-		var lastBytes int64
-		srcBytes, _ := src.(byteCounter)
-		if tel != nil {
-			batchStart = time.Now()
-		}
-		var trDecStart int64
-		if rt != nil {
-			trDecStart = nowNS()
-		}
-		cur := getBatch()
-		flush := func() bool {
-			if len(cur) == 0 {
-				return true
-			}
-			if tel != nil {
-				tel.stageLat[stageDecode].Observe(time.Since(batchStart).Nanoseconds())
-				if srcBytes != nil {
-					b := srcBytes.BytesRead()
-					tel.capBytes.Add(b - lastBytes)
-					lastBytes = b
-				}
-			}
-			if rt != nil {
-				rt.emit(decRing, rt.decode, rt.t.NewSpanID(), rt.t.Root(),
-					trDecStart, nowNS(), -1, -1, int64(cur[0].Index), int32(len(cur)))
-			}
-			select {
-			case decoded <- cur:
-				if tel != nil {
-					tel.queueDecos.Set(int64(len(decoded)) * int64(batch))
-					batchStart = time.Now()
-				}
-				if rt != nil {
-					trDecStart = nowNS()
-				}
-				cur = getBatch()
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		for i := 0; ; i++ {
-			c, err := src.Next()
-			if err == io.EOF {
-				flush()
-				return
-			}
-			if err != nil {
-				// Stop decoding but do NOT cancel: the records already
-				// decoded drain through and are delivered, mirroring the
-				// batch reader's return-the-good-prefix behaviour. The
-				// error surfaces once the pipeline is empty.
-				m.errors.Add(1)
-				srcErr = err
-				flush()
-				return
-			}
-			m.decoded.Add(1)
-			cur = append(cur, Item{Index: i, Conn: c})
-			if len(cur) >= batch && !flush() {
-				return
-			}
-		}
-	}()
-
-	// Classify stage: the worker pool. Each worker owns a private copy
-	// of the (stateless) classifier and a scratch arena, so records
-	// classify without shared state or per-record allocation. Workers
-	// exit when the decode channel closes (drain) or the context is
-	// cancelled mid-send.
-	// A classifier panic on one record is contained to that record
-	// (safeClassify): it is converted to Item.Err, counted as an error,
-	// and still forwarded so ordered delivery never stalls on the gap —
-	// one poisoned record must not take down the whole stream.
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			wcl := *cl // private instance: no false sharing across workers
-			var scratch core.Scratch
-			var wring *trace.Ring
-			if rt != nil {
-				wring = rt.t.Ring(2 + worker)
-				rt.t.LabelRing(2+worker, "worker/"+itoa(worker))
-			}
-			for {
-				// Receive under the context so cancellation (a signal, a
-				// deadline) releases workers even while the decoder is
-				// blocked inside an uninterruptible source read.
-				var b []Item
-				select {
-				case bb, ok := <-decoded:
-					if !ok {
-						return
-					}
-					b = bb
-				case <-ctx.Done():
-					return
-				}
-				var classifyStart time.Time
-				if tel != nil {
-					classifyStart = time.Now()
-				}
-				var trClsStart int64
-				if rt != nil {
-					trClsStart = nowNS()
-				}
-				for i := range b {
-					b[i].Res, b[i].Err = safeClassify(&wcl, &scratch, b[i].Conn)
-					if b[i].Err != nil {
-						if rt != nil {
-							rt.t.Flight().Record("ERROR", "classifier panic contained",
-								trace.A("record", b[i].Index), trace.A("worker", worker), trace.A("err", b[i].Err))
-						}
-						m.errors.Add(1)
-					} else {
-						m.classified.Add(1)
-						if b[i].Res.Signature.IsTampering() {
-							m.tampering.Add(1)
-						}
-					}
-					if tel != nil {
-						tel.observeSig(worker, b[i])
-					}
-				}
-				var observeStart time.Time
-				if tel != nil {
-					observeStart = time.Now()
-					tel.stageLat[stageClassify].Observe(observeStart.Sub(classifyStart).Nanoseconds())
-				}
-				var trObsStart int64
-				if rt != nil {
-					trObsStart = nowNS()
-					rt.emit(wring, rt.classify, rt.t.NewSpanID(), rt.t.Root(),
-						trClsStart, trObsStart, int32(worker), -1, int64(b[0].Index), int32(len(b)))
-				}
-				// Observe runs as a second pass over the batch: per-record
-				// semantics are unchanged (sequential per worker, before the
-				// batch is handed downstream), and its cost is timed apart
-				// from the classify cost.
-				if cfg.Observe != nil {
-					for i := range b {
-						cfg.Observe(worker, b[i])
-					}
-					if tel != nil {
-						tel.stageLat[stageObserve].Observe(time.Since(observeStart).Nanoseconds())
-					}
-					if rt != nil {
-						rt.emit(wring, rt.observe, rt.t.NewSpanID(), rt.t.Root(),
-							trObsStart, nowNS(), int32(worker), -1, int64(b[0].Index), int32(len(b)))
-					}
-				}
-				select {
-				case results <- b:
-					if tel != nil {
-						tel.queueRes.Set(int64(len(results)) * int64(batch))
-					}
-				case <-ctx.Done():
-					return
-				}
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Deliver stage, on the caller's goroutine. After a sink error or
-	// cancellation we keep draining the results channel (so blocked
-	// workers can exit) but stop invoking the sink.
-	var sinkErr error
-	stopped := false
-	deliver := func(it Item) {
-		if stopped || ctx.Err() != nil {
-			return
-		}
-		switch err := sink(it); {
-		case err == nil:
-			m.delivered.Add(1)
-		case errors.Is(err, ErrStop):
-			stopped = true
-			cancel()
-		default:
-			m.errors.Add(1)
-			sinkErr = fmt.Errorf("pipeline: sink: %w", err)
-			stopped = true
-			cancel()
-		}
-	}
-	deliverBatch := func(b []Item) {
-		var sinkStart time.Time
-		if tel != nil {
-			sinkStart = time.Now()
-		}
-		var trSinkStart int64
-		var first int64
-		if rt != nil {
-			trSinkStart = nowNS()
-			first = int64(b[0].Index)
-		}
-		for i := range b {
-			deliver(b[i])
-		}
-		if tel != nil {
-			tel.stageLat[stageSink].Observe(time.Since(sinkStart).Nanoseconds())
-		}
-		if rt != nil {
-			rt.emit(sinkRing, rt.sink, rt.t.NewSpanID(), rt.t.Root(),
-				trSinkStart, nowNS(), -1, -1, first, int32(len(b)))
-		}
-		putBatch(b)
-	}
-	if cfg.Ordered {
-		// Reorder buffer: holds out-of-order batches until their
-		// predecessors arrive, keyed by first index. The single decoder
-		// fills batches with contiguous indexes, so delivering batches in
-		// first-index order delivers every record in decode order. Bounded
-		// by the batches in flight.
-		pending := make(map[int][]Item)
-		next := 0
-		for b := range results {
-			pending[b[0].Index] = b
-			for {
-				nb, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				next += len(nb)
-				deliverBatch(nb)
-			}
-		}
-	} else {
-		for b := range results {
-			deliverBatch(b)
-		}
-	}
-	// Wait for the decoder unless the context was cancelled: a cancelled
-	// run must not hang on a source blocked in an uninterruptible read.
-	// The decode goroutine exits on its own once the read returns (its
-	// channel send selects on ctx.Done); srcErr is read only when it has
-	// finished, which is what makes the unsynchronized write safe.
-	srcDone := false
-	select {
-	case <-decodeDone:
-		srcDone = true
-	case <-ctx.Done():
-		select {
-		case <-decodeDone:
-			srcDone = true
-		default:
-		}
-	}
-	if tel != nil {
-		// Both channels are fully drained once delivery ends.
-		tel.queueDecos.Set(0)
-		tel.queueRes.Set(0)
-	}
-
-	counts := m.Snapshot()
-	counts.Dropped = counts.Decoded - counts.Delivered
-	m.dropped.Store(counts.Dropped)
-
-	switch {
-	case sinkErr != nil:
-		return counts, sinkErr
-	case srcDone && srcErr != nil:
-		return counts, fmt.Errorf("pipeline: source: %w", srcErr)
-	case ctx.Err() != nil && !stopped:
-		return counts, ctx.Err()
-	}
-	return counts, nil
+	return run(ctx, cfg, sink, []producer{{src: src, shard: -1}})
 }
 
-// Stream decodes TDCAP connection records incrementally from r and
-// runs them through the pipeline. By default it uses the parallel
-// decode path (ScanTDCAP): a scanner goroutine finds record
-// boundaries and the workers decode and classify, so ingest scales
-// with Config.Workers. Config.SequentialDecode selects the original
-// decode-on-the-source-goroutine path instead; results and counters
-// are identical either way.
+// Stream runs the TDCAP capture read from r through the pipeline. One
+// scanner goroutine finds record boundaries and the workers decode
+// the raw records, so decoding scales with Config.Workers. Results,
+// counters and errors are those of Run over NewReaderSource(r).
 func Stream(ctx context.Context, r io.Reader, cfg Config, sink Sink) (Counts, error) {
-	if cfg.SequentialDecode {
-		return Run(ctx, NewReaderSource(r), cfg, sink)
-	}
-	return ScanTDCAP(ctx, r, cfg, sink)
+	return run(ctx, cfg, sink, []producer{{scan: capture.NewScanner(r), shard: -1}})
 }

@@ -154,76 +154,84 @@ func TestDecodeError(t *testing.T) {
 	conns := testConns(50)
 	data := encode(t, conns)
 	// Truncate mid-record: the good prefix classifies, then the decode
-	// error surfaces.
+	// error surfaces. A truncated file has no index footer, so only Run
+	// and Stream can read it; TestShardedScanCorruptSegment covers the
+	// corrupt tail on all three entry points.
 	truncated := data[:len(data)-10]
-	delivered := 0
-	counts, err := Stream(context.Background(), bytes.NewReader(truncated),
-		Config{Workers: 4, Ordered: true},
-		func(it Item) error { delivered++; return nil })
-	if err == nil {
-		t.Fatal("truncated capture streamed without error")
-	}
-	if !errors.Is(err, capture.ErrCorrupt) {
-		t.Errorf("err = %v, want ErrCorrupt", err)
-	}
-	if counts.Errors != 1 {
-		t.Errorf("Errors = %d, want 1", counts.Errors)
-	}
-	// The good prefix — every record before the corrupt tail — still
-	// drains through and is delivered.
-	if delivered != len(conns)-1 {
-		t.Errorf("delivered = %d, want %d (good prefix)", delivered, len(conns)-1)
+	for _, ep := range entryPoints(t, truncated, 1)[:2] {
+		delivered := 0
+		counts, err := ep.run(context.Background(),
+			Config{Workers: 4, Ordered: true},
+			func(it Item) error { delivered++; return nil })
+		if err == nil {
+			t.Fatalf("%s: truncated capture streamed without error", ep.name)
+		}
+		if !errors.Is(err, capture.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", ep.name, err)
+		}
+		if counts.Errors != 1 {
+			t.Errorf("%s: Errors = %d, want 1", ep.name, counts.Errors)
+		}
+		// The good prefix — every record before the corrupt tail — still
+		// drains through and is delivered.
+		if delivered != len(conns)-1 {
+			t.Errorf("%s: delivered = %d, want %d (good prefix)", ep.name, delivered, len(conns)-1)
+		}
 	}
 }
 
 func TestSinkError(t *testing.T) {
-	conns := testConns(200)
+	data := encodeIndexed(t, testConns(200), 16)
 	sentinel := errors.New("disk full")
-	delivered := 0
-	counts, err := Run(context.Background(), NewSliceSource(conns),
-		Config{Workers: 4, Depth: 4},
-		func(it Item) error {
-			if delivered == 25 {
-				return sentinel
-			}
-			delivered++
-			return nil
-		})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want %v", err, sentinel)
-	}
-	if counts.Delivered != 25 {
-		t.Errorf("Delivered = %d, want 25", counts.Delivered)
-	}
-	if counts.Dropped != counts.Decoded-counts.Delivered {
-		t.Errorf("Dropped = %d, want Decoded-Delivered = %d",
-			counts.Dropped, counts.Decoded-counts.Delivered)
-	}
-	if counts.Errors != 1 {
-		t.Errorf("Errors = %d, want 1", counts.Errors)
+	for _, ep := range entryPoints(t, data, 4) {
+		delivered := 0
+		counts, err := ep.run(context.Background(),
+			Config{Workers: 4, Depth: 4},
+			func(it Item) error {
+				if delivered == 25 {
+					return sentinel
+				}
+				delivered++
+				return nil
+			})
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("%s: err = %v, want %v", ep.name, err, sentinel)
+		}
+		if counts.Delivered != 25 {
+			t.Errorf("%s: Delivered = %d, want 25", ep.name, counts.Delivered)
+		}
+		if counts.Dropped != counts.Decoded-counts.Delivered {
+			t.Errorf("%s: Dropped = %d, want Decoded-Delivered = %d",
+				ep.name, counts.Dropped, counts.Decoded-counts.Delivered)
+		}
+		if counts.Errors != 1 {
+			t.Errorf("%s: Errors = %d, want 1", ep.name, counts.Errors)
+		}
 	}
 }
 
 func TestErrStop(t *testing.T) {
-	conns := testConns(200)
-	delivered := 0
-	counts, err := Run(context.Background(), NewSliceSource(conns),
-		Config{Workers: 4, Depth: 4},
-		func(it Item) error {
-			delivered++
-			if delivered == 10 {
-				return ErrStop
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatalf("ErrStop surfaced as error: %v", err)
-	}
-	if counts.Delivered != 9 {
-		t.Errorf("Delivered = %d, want 9", counts.Delivered)
-	}
-	if counts.Errors != 0 {
-		t.Errorf("Errors = %d, want 0", counts.Errors)
+	data := encodeIndexed(t, testConns(200), 16)
+	for _, ep := range entryPoints(t, data, 4) {
+		delivered := 0
+		counts, err := ep.run(context.Background(),
+			Config{Workers: 4, Depth: 4},
+			func(it Item) error {
+				delivered++
+				if delivered == 10 {
+					return ErrStop
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatalf("%s: ErrStop surfaced as error: %v", ep.name, err)
+		}
+		if counts.Delivered != 9 {
+			t.Errorf("%s: Delivered = %d, want 9", ep.name, counts.Delivered)
+		}
+		if counts.Errors != 0 {
+			t.Errorf("%s: Errors = %d, want 0", ep.name, counts.Errors)
+		}
 	}
 }
 

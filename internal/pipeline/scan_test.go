@@ -1,10 +1,12 @@
 package pipeline
 
-// Tests for the parallel decode path (ScanTDCAP): result parity with
-// the sequential path at every worker count, slab ownership under the
-// race detector, goroutine hygiene on cancel/early-close/sink-error,
-// the corrupt-tail partial-results contract, and the decode-scaling
-// regression gate.
+// Tests for Stream, the scanner front end that decodes in the workers:
+// result parity with decoding on the source (Run over a ReaderSource)
+// at every worker count, slab ownership under the race detector,
+// goroutine hygiene on cancel/early-close/sink-error, the corrupt-tail
+// partial-results contract, and the decode-scaling regression gate.
+// The stop, sink-error and corrupt-tail cases run against every entry
+// point (see entryPoints).
 
 import (
 	"bytes"
@@ -22,13 +24,36 @@ import (
 	"tamperdetect/internal/workload"
 )
 
-// collectResults streams data and returns each delivered Result by
-// record index, plus the run's counts and error.
-func collectResults(t *testing.T, data []byte, cfg Config, n int) ([]core.Result, Counts, error) {
+// entryPoint is one way into the engine over an in-memory capture.
+type entryPoint struct {
+	name string
+	run  func(ctx context.Context, cfg Config, sink Sink) (Counts, error)
+}
+
+// entryPoints returns Run over a ReaderSource, Stream, and ShardedScan
+// at the given shard count, all reading data, which must carry an
+// index footer (encodeIndexed).
+func entryPoints(t testing.TB, data []byte, shards int) []entryPoint {
+	return []entryPoint{
+		{"Run", func(ctx context.Context, cfg Config, sink Sink) (Counts, error) {
+			return Run(ctx, NewReaderSource(bytes.NewReader(data)), cfg, sink)
+		}},
+		{"Stream", func(ctx context.Context, cfg Config, sink Sink) (Counts, error) {
+			return Stream(ctx, bytes.NewReader(data), cfg, sink)
+		}},
+		{"ShardedScan", func(ctx context.Context, cfg Config, sink Sink) (Counts, error) {
+			return ShardedScan(ctx, shardedSource(t, data, shards), cfg, sink)
+		}},
+	}
+}
+
+// collectResults streams data through run and returns each delivered
+// Result by record index, plus the run's counts and error.
+func collectResults(t *testing.T, run func(context.Context, Config, Sink) (Counts, error), cfg Config, n int) ([]core.Result, Counts, error) {
 	t.Helper()
 	out := make([]core.Result, n)
 	seen := make([]bool, n)
-	counts, err := Stream(context.Background(), bytes.NewReader(data), cfg, func(it Item) error {
+	counts, err := run(context.Background(), cfg, func(it Item) error {
 		if it.Err != nil {
 			return fmt.Errorf("item %d: %w", it.Index, it.Err)
 		}
@@ -51,9 +76,10 @@ func collectResults(t *testing.T, data []byte, cfg Config, n int) ([]core.Result
 }
 
 // TestScanMatchesSequentialByteParity is the e2e parity gate for the
-// parallel decode path: a fixed-seed 60k-connection scenario must
-// yield, at workers 1, 4, and 16, the exact Result-for-Result output
-// of both the sequential-decode pipeline and the plain batch loop.
+// decode-in-worker front end: a fixed-seed 60k-connection scenario
+// must yield, at workers 1, 4, and 16, the exact Result-for-Result
+// output of both decoding on the source (Run over a ReaderSource) and
+// the plain batch loop.
 func TestScanMatchesSequentialByteParity(t *testing.T) {
 	total := e2eTotal(t)
 	s, err := workload.BuildScenario("scan-parity", total, 72, 4242)
@@ -70,26 +96,31 @@ func TestScanMatchesSequentialByteParity(t *testing.T) {
 		want[i] = cl.Classify(c)
 	}
 
-	// Sequential-decode pipeline (the legacy work placement).
-	seqRes, seqCounts, err := collectResults(t, data,
-		Config{Workers: 4, Ordered: true, SequentialDecode: true}, len(conns))
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
+	// Decode on the source goroutine.
+	runSrc := func(ctx context.Context, cfg Config, sink Sink) (Counts, error) {
+		return Run(ctx, NewReaderSource(bytes.NewReader(data)), cfg, sink)
 	}
-	if seqCounts.Decoded != int64(len(conns)) {
-		t.Fatalf("sequential decoded %d of %d", seqCounts.Decoded, len(conns))
+	srcRes, srcCounts, err := collectResults(t, runSrc, Config{Workers: 4, Ordered: true}, len(conns))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if srcCounts.Decoded != int64(len(conns)) {
+		t.Fatalf("Run decoded %d of %d", srcCounts.Decoded, len(conns))
 	}
 	for i := range want {
-		if seqRes[i] != want[i] {
-			t.Fatalf("sequential record %d: got %+v, want %+v", i, seqRes[i], want[i])
+		if srcRes[i] != want[i] {
+			t.Fatalf("Run record %d: got %+v, want %+v", i, srcRes[i], want[i])
 		}
+	}
+	stream := func(ctx context.Context, cfg Config, sink Sink) (Counts, error) {
+		return Stream(ctx, bytes.NewReader(data), cfg, sink)
 	}
 
 	// Parallel decode at each worker count, ordered and unordered.
 	for _, workers := range []int{1, 4, 16} {
 		for _, ordered := range []bool{true, false} {
 			t.Run(fmt.Sprintf("workers=%d/ordered=%v", workers, ordered), func(t *testing.T) {
-				got, counts, err := collectResults(t, data,
+				got, counts, err := collectResults(t, stream,
 					Config{Workers: workers, Ordered: ordered, BatchSize: 64}, len(conns))
 				if err != nil {
 					t.Fatal(err)
@@ -166,27 +197,46 @@ func TestScanSlabChurn(t *testing.T) {
 	}
 }
 
-// TestScanCorruptTailPartialResults pins the exit-3 contract on the
-// parallel path: a capture whose tail is corrupt still delivers every
-// record decoded before the corruption, and the run reports ErrCorrupt
-// after the good prefix has drained.
+// TestScanCorruptTailPartialResults pins the exit-3 contract on every
+// entry point: a capture whose tail is corrupt still delivers every
+// record before the corruption, and the run reports ErrCorrupt after
+// that good prefix has drained. Junk after the last record leaves no
+// room for an index footer, so only Run and Stream read that capture;
+// a stomped record in the last segment gives ShardedScan a union of
+// good prefixes equal to the single-reader prefix.
 func TestScanCorruptTailPartialResults(t *testing.T) {
 	conns := testConns(300)
-	data := encode(t, conns)
-	bad := append(append([]byte(nil), data...), 0xC0, 0x09, 0xFF) // marker then junk ipver
-	for _, workers := range []int{1, 4} {
-		delivered := 0
-		counts, err := Stream(context.Background(), bytes.NewReader(bad),
-			Config{Workers: workers, Ordered: true, BatchSize: 16},
-			func(it Item) error { delivered++; return nil })
-		if !errors.Is(err, capture.ErrCorrupt) {
-			t.Fatalf("workers=%d: err = %v, want ErrCorrupt", workers, err)
-		}
-		if delivered != len(conns) {
-			t.Fatalf("workers=%d: delivered %d, want the full %d-record good prefix", workers, delivered, len(conns))
-		}
-		if counts.Decoded != int64(len(conns)) || counts.Errors == 0 {
-			t.Fatalf("workers=%d: counts %+v", workers, counts)
+	junk := append(encode(t, conns), 0xC0, 0x09, 0xFF) // marker then junk ipver
+	const corruptAt = 290
+	stomped := corruptRecord(t, encodeIndexed(t, conns, 1), corruptAt)
+	type tailCase struct {
+		ep   entryPoint
+		good int
+	}
+	var cases []tailCase
+	for _, ep := range entryPoints(t, junk, 1)[:2] {
+		ep.name += "/junk"
+		cases = append(cases, tailCase{ep, len(conns)})
+	}
+	for _, ep := range entryPoints(t, stomped, 4) {
+		ep.name += "/stomped"
+		cases = append(cases, tailCase{ep, corruptAt})
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 4} {
+			delivered := 0
+			counts, err := c.ep.run(context.Background(),
+				Config{Workers: workers, Ordered: true, BatchSize: 16},
+				func(it Item) error { delivered++; return nil })
+			if !errors.Is(err, capture.ErrCorrupt) {
+				t.Fatalf("%s workers=%d: err = %v, want ErrCorrupt", c.ep.name, workers, err)
+			}
+			if delivered != c.good {
+				t.Fatalf("%s workers=%d: delivered %d, want the full %d-record good prefix", c.ep.name, workers, delivered, c.good)
+			}
+			if counts.Decoded != int64(c.good) || counts.Errors == 0 {
+				t.Fatalf("%s workers=%d: counts %+v", c.ep.name, workers, counts)
+			}
 		}
 	}
 }
@@ -225,50 +275,58 @@ func TestScanCancelMidStream(t *testing.T) {
 	}
 }
 
-// TestScanSinkErrorDrains: a failing sink must stop a scan-path run
-// without leaking the scanner or workers, even with full queues.
+// TestScanSinkErrorDrains: a failing sink must stop a run on every
+// entry point without leaking producers or workers, even with full
+// queues.
 func TestScanSinkErrorDrains(t *testing.T) {
-	verify := checkGoroutines(t)
-	defer verify()
-
-	data := encode(t, testConns(5000))
-	sentinel := errors.New("sink exploded")
-	delivered := 0
-	_, err := Stream(context.Background(), bytes.NewReader(data),
-		Config{Workers: 8, BatchSize: 4, Depth: 8},
-		func(it Item) error {
-			delivered++
-			if delivered == 30 {
-				return sentinel
+	data := encodeIndexed(t, testConns(5000), 32)
+	for _, ep := range entryPoints(t, data, 4) {
+		t.Run(ep.name, func(t *testing.T) {
+			verify := checkGoroutines(t)
+			defer verify()
+			sentinel := errors.New("sink exploded")
+			delivered := 0
+			_, err := ep.run(context.Background(),
+				Config{Workers: 8, BatchSize: 4, Depth: 8},
+				func(it Item) error {
+					delivered++
+					if delivered == 30 {
+						return sentinel
+					}
+					return nil
+				})
+			if !errors.Is(err, sentinel) {
+				t.Errorf("err = %v, want sink error", err)
 			}
-			return nil
 		})
-	if !errors.Is(err, sentinel) {
-		t.Errorf("err = %v, want sink error", err)
 	}
 }
 
-// TestScanErrStop: ErrStop ends a scan-path run early and cleanly.
+// TestScanErrStop: ErrStop ends a run early and cleanly on every entry
+// point.
 func TestScanErrStop(t *testing.T) {
-	verify := checkGoroutines(t)
-	defer verify()
-
-	data := encode(t, testConns(5000))
-	delivered := 0
-	counts, err := Stream(context.Background(), bytes.NewReader(data),
-		Config{Workers: 4, BatchSize: 8},
-		func(it Item) error {
-			delivered++
-			if delivered == 50 {
-				return ErrStop
+	data := encodeIndexed(t, testConns(5000), 32)
+	for _, ep := range entryPoints(t, data, 4) {
+		t.Run(ep.name, func(t *testing.T) {
+			verify := checkGoroutines(t)
+			defer verify()
+			delivered := 0
+			counts, err := ep.run(context.Background(),
+				Config{Workers: 4, BatchSize: 8},
+				func(it Item) error {
+					delivered++
+					if delivered == 50 {
+						return ErrStop
+					}
+					return nil
+				})
+			if err != nil {
+				t.Fatalf("ErrStop surfaced as %v", err)
 			}
-			return nil
+			if counts.Delivered != 49 {
+				t.Errorf("delivered count %d, want 49", counts.Delivered)
+			}
 		})
-	if err != nil {
-		t.Fatalf("ErrStop surfaced as %v", err)
-	}
-	if counts.Delivered != 49 {
-		t.Errorf("delivered count %d, want 49", counts.Delivered)
 	}
 }
 
@@ -300,8 +358,9 @@ func TestScanEarlyPipeClose(t *testing.T) {
 }
 
 // TestScanTelemetrySplit pins the scan/decode stage attribution: on
-// the parallel path both the scanner stage and the per-worker decode
-// stage must record latency observations.
+// Stream both the scanner stage and the per-worker decode stage must
+// record latency observations, and Run, which decodes on its source,
+// attributes the whole source stage to decode.
 func TestScanTelemetrySplit(t *testing.T) {
 	data := encode(t, testConns(500))
 	tel := NewTelemetry(nil)
@@ -319,17 +378,17 @@ func TestScanTelemetrySplit(t *testing.T) {
 		}
 	}
 
-	// The sequential path never touches the scan stage.
+	// Decoding on the source never touches the scan stage.
 	tel2 := NewTelemetry(nil)
-	if _, err := Stream(context.Background(), bytes.NewReader(data),
-		Config{Workers: 2, SequentialDecode: true, Telemetry: tel2}, nil); err != nil {
+	if _, err := Run(context.Background(), NewReaderSource(bytes.NewReader(data)),
+		Config{Workers: 2, Telemetry: tel2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s := tel2.stageLat[stageScan].Snapshot(); s.Count != 0 {
-		t.Errorf("sequential path recorded %d scan-stage observations", s.Count)
+		t.Errorf("Run recorded %d scan-stage observations", s.Count)
 	}
 	if s := tel2.stageLat[stageDecode].Snapshot(); s.Count == 0 {
-		t.Error("sequential path recorded no decode-stage observations")
+		t.Error("Run recorded no decode-stage observations")
 	}
 }
 

@@ -2,463 +2,69 @@ package pipeline
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"io"
 	"runtime"
-	"sync"
-	"time"
 
 	"tamperdetect/internal/capture"
-	"tamperdetect/internal/core"
-	"tamperdetect/internal/trace"
 )
 
-// The shard-parallel ingest path. ScanTDCAP removed decode from the
-// serial stage, but one scanner goroutine still walks every record
-// boundary, so scan caps throughput no matter how many workers run.
-// ShardedScan removes that last serial stage for indexed captures:
+// ShardedScan streams an indexed TDCAP capture with one scanner
+// producer per segment of src, each with its own worker group, so no
+// serial stage remains. Record indexes are file-global, so results,
+// Counts and ordered delivery are those of Stream over the same file,
+// and so are the Sink and Observe contracts.
 //
-//	segment 0: scanner ──raw──▶ decode+classify ×w₀ ──┐
-//	segment 1: scanner ──raw──▶ decode+classify ×w₁ ──┼─▶ deliver
-//	   ...                                            │
-//	segment K: scanner ──raw──▶ decode+classify ×wₖ ──┘
+// Errors differ in one honest way: a corrupt record stops only its own
+// segment, so the delivered "good prefix" is the union of every
+// segment's good prefix — more data recovered than a single scanner
+// would manage, never less — and the error still surfaces. A seam
+// violation (the index promised a boundary that is not one) surfaces
+// as capture.ErrBadIndex; callers then rerun with Stream, which is why
+// a hostile index can waste time but cannot corrupt output.
 //
-// Each shard is an independent mini-pipeline over its own byte range
-// of the file (capture.SegmentedSource): its own scanner, its own raw
-// channel, its own workers. Nothing in the hot path is shared between
-// shards except the atomic Metrics counters and the telemetry
-// histograms, both of which are concurrency-safe and order-independent
-// by construction, so the merged run is byte-identical to a
-// single-scanner ScanTDCAP over the same file — the parity gate in
-// shard_test.go holds at shards {1,2,4,8} × ordered {true,false}.
-//
-// Delivery preserves the Sink contract (single goroutine, no
-// retention). Unordered mode interleaves batches from all shards as
-// they finish. Ordered mode delivers segments strictly in file order:
-// shard k+1's results are buffered only up to its bounded channel
-// depth while shard k drains, so memory stays bounded, but later
-// shards cannot run ahead of delivery indefinitely — ordered sharded
-// ingest is for deterministic output, not for peak throughput.
+// Ordered runs deliver segments in file order: a later segment runs
+// ahead only as far as its bounded channels while an earlier one
+// drains, so ordered sharded ingest is for deterministic output, not
+// peak throughput.
+func ShardedScan(ctx context.Context, src *capture.SegmentedSource, cfg Config, sink Sink) (Counts, error) {
+	// Scanners are created here, before anything runs concurrently, so
+	// SegmentedSource.BytesRead can sum them from a telemetry scrape
+	// without racing lazy construction.
+	ps := make([]producer, src.Segments())
+	for i := range ps {
+		ps[i] = producer{
+			scan:  src.Scanner(i),
+			first: src.Segment(i).FirstRecord,
+			shard: int32(i),
+			check: func() error { return src.CheckSegment(i) },
+		}
+	}
+	return run(ctx, cfg, sink, ps)
+}
 
-// ShardWorkers reports the total decode+classify worker count a
-// ShardedScan run will use for the given Config.Workers and shard
-// count: every shard gets at least one worker, so the total exceeds
-// Config.Workers when there are more shards than workers. Callers
-// that size per-worker observers (analysis.NewSharded) must use this
-// resolved total, and Config.Observe receives worker indexes in
-// [0, ShardWorkers(...)).
+// ShardWorkers reports the total worker count a ShardedScan run will
+// use for the given Config.Workers and shard count: every shard gets
+// at least one worker, so the total exceeds Config.Workers when there
+// are more shards than workers. Callers that size per-worker observers
+// (analysis.NewSharded) must use this resolved total, and
+// Config.Observe receives worker indexes in [0, ShardWorkers(...)).
 func ShardWorkers(workers, shards int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	return max(workers, shards)
+	return max(workers, shards, 1)
 }
 
 // shardWorkerCounts splits the resolved worker total across shards,
 // front-loading the remainder so counts differ by at most one.
+// Worker indexes are assigned in shard order.
 func shardWorkerCounts(workers, shards int) []int {
 	total := ShardWorkers(workers, shards)
 	counts := make([]int, shards)
-	base, extra := total/shards, total%shards
 	for i := range counts {
-		counts[i] = base
-		if i < extra {
+		counts[i] = total / shards
+		if i < total%shards {
 			counts[i]++
 		}
 	}
 	return counts
-}
-
-// ShardedScan streams an indexed TDCAP capture through per-segment
-// mini-pipelines. Semantics match ScanTDCAP over the same file — same
-// Counts accounting, same ordered/unordered delivery, same Sink and
-// Observe contracts — only the work placement differs. On a clean
-// file the output is byte-identical to the single-scanner path.
-//
-// Error semantics differ in one honest way: a corrupt record stops
-// only its own shard, so the delivered "good prefix" is the union of
-// every other segment plus the corrupt segment's good prefix — more
-// data recovered than a single scanner would manage, never less, and
-// the error still surfaces. A seam violation (the index promised a
-// boundary that is not one) surfaces as capture.ErrBadIndex; callers
-// then rerun with the single-scanner path, which is why a hostile
-// index can waste time but cannot corrupt output.
-func ShardedScan(ctx context.Context, src *capture.SegmentedSource, cfg Config, sink Sink) (Counts, error) {
-	shards := src.Segments()
-	depth := cfg.Depth
-	if depth <= 0 {
-		depth = DefaultDepth
-	}
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
-	if batch > depth {
-		batch = depth
-	}
-	cl := cfg.Classifier
-	if cl == nil {
-		cl = core.NewClassifier(core.DefaultConfig())
-	}
-	tel := cfg.Telemetry
-	m := cfg.Metrics
-	if m == nil {
-		if tel != nil {
-			m = tel.Metrics()
-		} else {
-			m = &Metrics{}
-		}
-	}
-	if tel != nil {
-		tel.attach(m)
-	}
-	if sink == nil {
-		sink = func(Item) error { return nil }
-	}
-	counts := func() Counts {
-		c := m.Snapshot()
-		c.Dropped = c.Decoded - c.Delivered
-		m.dropped.Store(c.Dropped)
-		return c
-	}
-	if shards == 0 {
-		// Empty capture: nothing to deliver, nothing to fail.
-		return counts(), ctx.Err()
-	}
-
-	// Producer ring plan: 0..shards-1 = per-shard scanners, shards =
-	// the deliver stage, shards+1+w = global worker w. Shard lineage
-	// rides every span, so a merged trace still separates per segment.
-	rt := newRunTrace(cfg.Tracer)
-	var sinkRing *trace.Ring
-	if rt != nil {
-		for i := 0; i < shards; i++ {
-			rt.t.LabelRing(i, "scan/"+itoa(i))
-		}
-		sinkRing = rt.t.Ring(shards)
-		rt.t.LabelRing(shards, "sink")
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	chanCap := depth / batch
-	if chanCap < 1 {
-		chanCap = 1
-	}
-
-	// Pools are shared across shards: sync.Pool's per-P caches keep
-	// recycling effectively local, and the ownership protocol (slab
-	// written only before send, returned before classify) is per
-	// batch, not per shard.
-	rawPool := sync.Pool{New: func() any {
-		return &rawBatch{slab: make([]byte, 0, batch*512), offs: make([]int32, 1, batch+1)}
-	}}
-	getRaw := func() *rawBatch {
-		rb := rawPool.Get().(*rawBatch)
-		rb.slab = rb.slab[:0]
-		rb.offs = rb.offs[:1]
-		return rb
-	}
-	putRaw := func(rb *rawBatch) { rawPool.Put(rb) }
-	itemPool := sync.Pool{New: func() any { return &itemBatch{} }}
-	getItems := func() *itemBatch {
-		ib := itemPool.Get().(*itemBatch)
-		ib.items = ib.items[:0]
-		return ib
-	}
-	putItems := func(ib *itemBatch) {
-		b := ib.items[:cap(ib.items)]
-		clear(b)
-		ib.items = b[:0]
-		itemPool.Put(ib)
-	}
-
-	// Scanners are created on this goroutine, before anything runs
-	// concurrently, so SegmentedSource.BytesRead can sum them from a
-	// telemetry scrape without racing lazy construction.
-	for i := 0; i < shards; i++ {
-		src.Scanner(i)
-	}
-
-	wcounts := shardWorkerCounts(cfg.Workers, shards)
-	srcErrs := make([]error, shards)
-	scanDone := make([]chan struct{}, shards)
-	resCh := make([]chan *itemBatch, shards)
-
-	var wwg sync.WaitGroup // all workers, all shards
-	for i := 0; i < shards; i++ {
-		seg := src.Segment(i)
-		sc := src.Scanner(i)
-		raw := make(chan *rawBatch, chanCap)
-		resCh[i] = make(chan *itemBatch, chanCap)
-		scanDone[i] = make(chan struct{})
-
-		// Scan stage, one per shard: identical to ScanTDCAP's except
-		// that record indexes are file-global (segment base + local)
-		// and a clean EOF is followed by the seam check.
-		go func(shard int) {
-			defer close(scanDone[shard])
-			defer close(raw)
-			var batchStart time.Time
-			var lastBytes int64
-			if tel != nil {
-				batchStart = time.Now()
-			}
-			var scanRing *trace.Ring
-			var trScanStart int64
-			if rt != nil {
-				scanRing = rt.t.Ring(shard)
-				trScanStart = nowNS()
-			}
-			cur := getRaw()
-			first := seg.FirstRecord
-			flush := func() bool {
-				n := len(cur.offs) - 1
-				if n == 0 {
-					return true
-				}
-				if tel != nil {
-					tel.stageLat[stageScan].Observe(time.Since(batchStart).Nanoseconds())
-					// Per-shard deltas into the shared counter keep the
-					// aggregate exact: each shard only ever adds bytes its
-					// own scanner consumed.
-					b := sc.BytesRead()
-					tel.capBytes.Add(b - lastBytes)
-					lastBytes = b
-				}
-				cur.first = first
-				if rt != nil {
-					now := nowNS()
-					cur.scanSpan = rt.t.NewSpanID()
-					cur.enqNS = now
-					rt.emit(scanRing, rt.scan, cur.scanSpan, rt.t.Root(),
-						trScanStart, now, -1, int32(shard), int64(first), int32(n))
-				}
-				select {
-				case raw <- cur:
-					if tel != nil {
-						tel.queueDecos.Set(int64(len(raw)) * int64(batch))
-						batchStart = time.Now()
-					}
-					if rt != nil {
-						trScanStart = nowNS()
-					}
-					first += n
-					cur = getRaw()
-					return true
-				case <-ctx.Done():
-					return false
-				}
-			}
-			for {
-				slab, err := sc.Next(cur.slab)
-				if err == io.EOF {
-					if serr := src.CheckSegment(shard); serr != nil {
-						m.errors.Add(1)
-						srcErrs[shard] = serr
-					}
-					flush()
-					return
-				}
-				if err != nil {
-					m.errors.Add(1)
-					srcErrs[shard] = err
-					flush()
-					return
-				}
-				cur.slab = slab
-				cur.offs = append(cur.offs, int32(len(slab)))
-				m.decoded.Add(1)
-				if (len(cur.offs)-1 >= batch || len(cur.slab) >= maxSlabBytes) && !flush() {
-					return
-				}
-			}
-		}(i)
-
-		// Decode+classify stage: this shard's workers, with
-		// file-global worker indexes so shared per-worker observers
-		// (analysis.Sharded, telemetry sharded counters) never collide
-		// across shards.
-		workerBase := 0
-		for j := 0; j < i; j++ {
-			workerBase += wcounts[j]
-		}
-		var swg sync.WaitGroup
-		for j := 0; j < wcounts[i]; j++ {
-			wwg.Add(1)
-			swg.Add(1)
-			go func(worker int) {
-				defer wwg.Done()
-				defer swg.Done()
-				wcl := *cl
-				var scratch core.Scratch
-				var wring *trace.Ring
-				if rt != nil {
-					wring = rt.t.Ring(shards + 1 + worker)
-					rt.t.LabelRing(shards+1+worker, "worker/"+itoa(worker))
-				}
-				for {
-					var rb *rawBatch
-					select {
-					case b, ok := <-raw:
-						if !ok {
-							return
-						}
-						rb = b
-					case <-ctx.Done():
-						return
-					}
-					ib := decodeClassifyBatch(rb, getItems(), putRaw, &wcl, &scratch, m, tel, worker, cfg.Observe, rt, wring, int32(i))
-					select {
-					case resCh[i] <- ib:
-						if tel != nil {
-							tel.queueRes.Set(int64(len(resCh[i])) * int64(batch))
-						}
-					case <-ctx.Done():
-						return
-					}
-				}
-			}(workerBase + j)
-		}
-		go func(i int) {
-			swg.Wait()
-			close(resCh[i])
-		}(i)
-	}
-
-	// Deliver stage, on the caller's goroutine, single sink goroutine
-	// as always.
-	var sinkErr error
-	stopped := false
-	deliver := func(it Item) {
-		if stopped || ctx.Err() != nil {
-			return
-		}
-		switch err := sink(it); {
-		case err == nil:
-			m.delivered.Add(1)
-		case errors.Is(err, ErrStop):
-			stopped = true
-			cancel()
-		default:
-			m.errors.Add(1)
-			sinkErr = fmt.Errorf("pipeline: sink: %w", err)
-			stopped = true
-			cancel()
-		}
-	}
-	deliverBatch := func(ib *itemBatch) {
-		var sinkStart time.Time
-		if tel != nil {
-			sinkStart = time.Now()
-		}
-		var snkSpan uint64
-		var trSinkStart int64
-		if rt != nil {
-			trSinkStart = nowNS()
-			snkSpan = rt.t.NewSpanID()
-		}
-		for i := range ib.items {
-			if rt != nil && rt.sampled(ib.items[i].Index) {
-				s := nowNS()
-				deliver(ib.items[i])
-				rt.emit(sinkRing, rt.sinkRec, rt.t.NewSpanID(), snkSpan,
-					s, nowNS(), -1, ib.shard, int64(ib.items[i].Index), 1)
-				continue
-			}
-			deliver(ib.items[i])
-		}
-		if tel != nil {
-			tel.stageLat[stageSink].Observe(time.Since(sinkStart).Nanoseconds())
-		}
-		if rt != nil {
-			rt.emit(sinkRing, rt.sink, snkSpan, ib.scanSpan,
-				trSinkStart, nowNS(), -1, ib.shard, int64(ib.items[0].Index), int32(len(ib.items)))
-		}
-		putItems(ib)
-	}
-	if cfg.Ordered {
-		// Segments are delivered in file order, each with ScanTDCAP's
-		// reorder buffer; batch first-indexes are file-global, so the
-		// concatenation is exactly the single-scanner ordered output.
-		for i := 0; i < shards; i++ {
-			next := src.Segment(i).FirstRecord
-			pending := make(map[int]*itemBatch)
-			for ib := range resCh[i] {
-				pending[ib.items[0].Index] = ib
-				for {
-					nb, ok := pending[next]
-					if !ok {
-						break
-					}
-					delete(pending, next)
-					next += len(nb.items)
-					deliverBatch(nb)
-				}
-			}
-			for _, nb := range pending {
-				putItems(nb) // undelivered stragglers of a cancelled run
-			}
-		}
-	} else {
-		merged := make(chan *itemBatch, shards)
-		var fwg sync.WaitGroup
-		for i := 0; i < shards; i++ {
-			fwg.Add(1)
-			go func(c <-chan *itemBatch) {
-				defer fwg.Done()
-				for ib := range c {
-					merged <- ib
-				}
-			}(resCh[i])
-		}
-		go func() {
-			fwg.Wait()
-			close(merged)
-		}()
-		for ib := range merged {
-			deliverBatch(ib)
-		}
-	}
-
-	// As in ScanTDCAP: don't hang on scanners blocked in reads when
-	// the context was cancelled; per-shard errors are read only for
-	// shards whose scan goroutine finished.
-	var srcErr error
-	for i := 0; i < shards; i++ {
-		done := false
-		select {
-		case <-scanDone[i]:
-			done = true
-		case <-ctx.Done():
-			select {
-			case <-scanDone[i]:
-				done = true
-			default:
-			}
-		}
-		if done && srcErr == nil && srcErrs[i] != nil {
-			srcErr = fmt.Errorf("pipeline: source (segment %d): %w", i, srcErrs[i])
-		}
-	}
-	if tel != nil {
-		tel.queueDecos.Set(0)
-		tel.queueRes.Set(0)
-	}
-
-	c := counts()
-	switch {
-	case sinkErr != nil:
-		return c, sinkErr
-	case srcErr != nil:
-		return c, srcErr
-	case ctx.Err() != nil && !stopped:
-		return c, ctx.Err()
-	}
-	return c, nil
 }

@@ -1,10 +1,11 @@
 package pipeline
 
 // Tests for the shard-parallel ingest path (ShardedScan): byte parity
-// with ScanTDCAP at every shard count — the correctness gate for the
-// whole indexed-segment design — plus hostile-index containment,
-// partial-results semantics, goroutine hygiene, the worker-index
-// contract shared observers rely on, and the shard-scaling gate.
+// with the batch classifier, Run and Stream at every shard count — the
+// correctness gate for the whole indexed-segment design — plus
+// hostile-index containment, partial-results semantics, goroutine
+// hygiene, the worker-index contract shared observers rely on, the
+// summed queue-depth gauges, and the shard-scaling gate.
 
 import (
 	"bytes"
@@ -40,6 +41,24 @@ func encodeIndexed(t testing.TB, conns []*capture.Connection, interval int) []by
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// corruptRecord returns a copy of the indexed capture data with the
+// marker byte of record at stomped. The footer checksum covers only
+// the index payload, so the index still loads; the damage must be
+// caught by whichever scanner or reader reaches the record.
+func corruptRecord(t testing.TB, data []byte, at int) []byte {
+	t.Helper()
+	idx, err := capture.ReadFooterIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx.Interval != 1 {
+		t.Fatalf("corruptRecord needs an interval-1 index, got %d", idx.Interval)
+	}
+	bad := append([]byte(nil), data...)
+	bad[idx.Offsets[at]] = 0x09
+	return bad
 }
 
 // shardedSource loads data's footer index and opens a fresh
@@ -83,11 +102,12 @@ func collectSharded(t *testing.T, src *capture.SegmentedSource, cfg Config, n in
 	return out, seen, counts, err
 }
 
-// TestShardedScanParity is THE correctness gate for sharded ingest: a
-// fixed-seed 60k-connection scenario must yield, at shards 1, 2, 4,
-// and 8, ordered and unordered, the exact Result-for-Result output of
-// the single-scanner ScanTDCAP path (itself pinned to the batch
-// reference in scan_test.go).
+// TestShardedScanParity is THE correctness gate for the engine's
+// entry points: a fixed-seed 60k-connection scenario must yield, from
+// Run over a ReaderSource, from Stream, and from ShardedScan at shards
+// 1, 2, 4, and 8, each ordered and unordered, the exact
+// Result-for-Result output of the batch classifier and identical
+// Counts.
 func TestShardedScanParity(t *testing.T) {
 	total := e2eTotal(t)
 	s, err := workload.BuildScenario("shard-parity", total, 72, 4242)
@@ -97,37 +117,61 @@ func TestShardedScanParity(t *testing.T) {
 	conns := s.Run(0)
 	data := encodeIndexed(t, conns, 64)
 
-	// Reference: the single-scanner parallel path over the same bytes.
-	want, _, wantCounts, err := func() ([]core.Result, []bool, Counts, error) {
-		out := make([]core.Result, len(conns))
-		seen := make([]bool, len(conns))
-		counts, err := ScanTDCAP(context.Background(), bytes.NewReader(data),
-			Config{Workers: 4, Ordered: true, BatchSize: 64},
-			func(it Item) error {
-				seen[it.Index] = true
-				out[it.Index] = it.Res
-				return nil
-			})
-		return out, seen, counts, err
-	}()
-	if err != nil {
-		t.Fatalf("ScanTDCAP reference: %v", err)
-	}
-	if wantCounts.Decoded != int64(len(conns)) {
-		t.Fatalf("reference decoded %d of %d", wantCounts.Decoded, len(conns))
+	// Reference: batch classification in record order.
+	cl := core.NewClassifier(core.DefaultConfig())
+	want := make([]core.Result, len(conns))
+	n := int64(len(conns))
+	wantCounts := Counts{Decoded: n, Classified: n, Delivered: n}
+	for i, c := range conns {
+		want[i] = cl.Classify(c)
+		if want[i].Signature.IsTampering() {
+			wantCounts.Tampering++
+		}
 	}
 
+	type row struct {
+		name string
+		run  func(cfg Config, sink Sink) (Counts, *capture.SegmentedSource, error)
+	}
+	rows := []row{
+		{"Run", func(cfg Config, sink Sink) (Counts, *capture.SegmentedSource, error) {
+			c, err := Run(context.Background(), NewReaderSource(bytes.NewReader(data)), cfg, sink)
+			return c, nil, err
+		}},
+		{"Stream", func(cfg Config, sink Sink) (Counts, *capture.SegmentedSource, error) {
+			c, err := Stream(context.Background(), bytes.NewReader(data), cfg, sink)
+			return c, nil, err
+		}},
+	}
 	for _, shards := range []int{1, 2, 4, 8} {
+		rows = append(rows, row{fmt.Sprintf("shards=%d", shards), func(cfg Config, sink Sink) (Counts, *capture.SegmentedSource, error) {
+			src := shardedSource(t, data, shards)
+			cfg.Workers = shards
+			c, err := ShardedScan(context.Background(), src, cfg, sink)
+			return c, src, err
+		}})
+	}
+	for _, r := range rows {
 		for _, ordered := range []bool{true, false} {
-			t.Run(fmt.Sprintf("shards=%d/ordered=%v", shards, ordered), func(t *testing.T) {
-				src := shardedSource(t, data, shards)
-				got, seen, counts, err := collectSharded(t, src,
-					Config{Workers: shards, Ordered: ordered, BatchSize: 64}, len(conns))
+			t.Run(fmt.Sprintf("%s/ordered=%v", r.name, ordered), func(t *testing.T) {
+				got := make([]core.Result, len(conns))
+				seen := make([]bool, len(conns))
+				counts, src, err := r.run(Config{Workers: 4, Ordered: ordered, BatchSize: 64}, func(it Item) error {
+					if it.Err != nil {
+						return fmt.Errorf("item %d: %w", it.Index, it.Err)
+					}
+					if it.Index < 0 || it.Index >= len(conns) || seen[it.Index] {
+						return fmt.Errorf("item index %d out of range or delivered twice", it.Index)
+					}
+					seen[it.Index] = true
+					got[it.Index] = it.Res
+					return nil
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if counts.Decoded != int64(len(conns)) || counts.Delivered != int64(len(conns)) {
-					t.Fatalf("counts %+v, want %d decoded and delivered", counts, len(conns))
+				if counts != wantCounts {
+					t.Fatalf("counts %+v, want %+v", counts, wantCounts)
 				}
 				for i := range want {
 					if !seen[i] {
@@ -137,9 +181,11 @@ func TestShardedScanParity(t *testing.T) {
 						t.Fatalf("record %d: got %+v, want %+v", i, got[i], want[i])
 					}
 				}
-				if br := src.BytesRead(); br != src.Index().DataSize-8 {
-					t.Fatalf("aggregate BytesRead %d, want the full %d-byte record area",
-						br, src.Index().DataSize-8)
+				if src != nil {
+					if br := src.BytesRead(); br != src.Index().DataSize-8 {
+						t.Fatalf("aggregate BytesRead %d, want the full %d-byte record area",
+							br, src.Index().DataSize-8)
+					}
 				}
 			})
 		}
@@ -214,50 +260,34 @@ func TestShardedScanObserverContract(t *testing.T) {
 // corrupt record stops only its own shard, so the delivered set is the
 // union of every other segment plus the corrupt segment's good prefix,
 // every delivered Result is still correct, and ErrCorrupt surfaces.
+// The corruption sits in the last of 4 segments, so Run and Stream,
+// which stop at the first bad record, deliver the same set.
 func TestShardedScanCorruptSegment(t *testing.T) {
 	conns := testConns(300)
-	data := encodeIndexed(t, conns, 1)
-	idx, err := capture.ReadFooterIndex(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stomp the marker byte of record 260 — inside the last of 4
-	// segments (records 225..299). The footer checksum only covers the
-	// index payload, so the index still loads; the damage must be
-	// caught by the shard's scanner, not hidden by it.
+	// Record 260 lies inside the last of 4 segments (records 225..299).
 	const corruptAt = 260
-	bad := append([]byte(nil), data...)
-	bad[idx.Offsets[corruptAt]] = 0x09
-	src, err := capture.NewSegmentedSource(bytes.NewReader(bad), int64(len(bad)), idx, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	bad := corruptRecord(t, encodeIndexed(t, conns, 1), corruptAt)
 	cl := core.NewClassifier(core.DefaultConfig())
-	got, seen, counts, err := collectSharded(t, src,
-		Config{Workers: 4, Ordered: true, BatchSize: 8}, len(conns))
-	if !errors.Is(err, capture.ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-	delivered := 0
-	for i, s := range seen {
-		if !s {
-			if i < corruptAt {
-				t.Fatalf("record %d (before the corruption) never delivered", i)
+	for _, ep := range entryPoints(t, bad, 4) {
+		t.Run(ep.name, func(t *testing.T) {
+			got, counts, err := collectResults(t, ep.run,
+				Config{Workers: 4, Ordered: true, BatchSize: 8}, corruptAt)
+			if !errors.Is(err, capture.ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
 			}
-			continue
-		}
-		delivered++
-		if want := cl.Classify(conns[i]); got[i] != want {
-			t.Fatalf("record %d: got %+v, want %+v", i, got[i], want)
-		}
-	}
-	if delivered != corruptAt {
-		t.Fatalf("delivered %d records, want exactly the %d-record union of good prefixes",
-			delivered, corruptAt)
-	}
-	if counts.Errors == 0 {
-		t.Fatalf("counts %+v, want a recorded error", counts)
+			for i := 0; i < corruptAt; i++ {
+				if want := cl.Classify(conns[i]); got[i] != want {
+					t.Fatalf("record %d: got %+v, want %+v", i, got[i], want)
+				}
+			}
+			if counts.Delivered != corruptAt {
+				t.Fatalf("delivered %d records, want exactly the %d-record union of good prefixes",
+					counts.Delivered, corruptAt)
+			}
+			if counts.Errors == 0 {
+				t.Fatalf("counts %+v, want a recorded error", counts)
+			}
+		})
 	}
 }
 
@@ -406,51 +436,106 @@ func TestShardedScanCancelMidStream(t *testing.T) {
 }
 
 // TestShardedScanSinkErrorDrains: a failing sink must stop all shards
-// without leaking scanners or workers, even with full queues.
+// without leaking scanners or workers, even with full queues; Run and
+// Stream must drain the same way.
 func TestShardedScanSinkErrorDrains(t *testing.T) {
-	verify := checkGoroutines(t)
-	defer verify()
-
 	data := encodeIndexed(t, testConns(5000), 32)
-	src := shardedSource(t, data, 4)
-	sentinel := errors.New("sink exploded")
-	delivered := 0
-	_, err := ShardedScan(context.Background(), src,
-		Config{Workers: 8, BatchSize: 4, Depth: 8},
-		func(it Item) error {
-			delivered++
-			if delivered == 30 {
-				return sentinel
+	for _, ep := range entryPoints(t, data, 4) {
+		t.Run(ep.name, func(t *testing.T) {
+			verify := checkGoroutines(t)
+			defer verify()
+			sentinel := errors.New("sink exploded")
+			delivered := 0
+			_, err := ep.run(context.Background(),
+				Config{Workers: 8, BatchSize: 4, Depth: 8},
+				func(it Item) error {
+					delivered++
+					if delivered == 30 {
+						return sentinel
+					}
+					return nil
+				})
+			if !errors.Is(err, sentinel) {
+				t.Errorf("err = %v, want sink error", err)
 			}
-			return nil
 		})
-	if !errors.Is(err, sentinel) {
-		t.Errorf("err = %v, want sink error", err)
 	}
 }
 
-// TestShardedScanErrStop: ErrStop ends a sharded run early and cleanly.
+// TestShardedScanErrStop: ErrStop ends a sharded run early and
+// cleanly, and a Run or Stream run the same way.
 func TestShardedScanErrStop(t *testing.T) {
-	verify := checkGoroutines(t)
-	defer verify()
-
 	data := encodeIndexed(t, testConns(5000), 32)
+	for _, ep := range entryPoints(t, data, 4) {
+		t.Run(ep.name, func(t *testing.T) {
+			verify := checkGoroutines(t)
+			defer verify()
+			delivered := 0
+			counts, err := ep.run(context.Background(),
+				Config{Workers: 4, BatchSize: 8},
+				func(it Item) error {
+					delivered++
+					if delivered == 50 {
+						return ErrStop
+					}
+					return nil
+				})
+			if err != nil {
+				t.Fatalf("ErrStop surfaced as %v", err)
+			}
+			if counts.Delivered != 49 {
+				t.Errorf("delivered count %d, want 49", counts.Delivered)
+			}
+			if counts.Dropped != counts.Decoded-counts.Delivered {
+				t.Errorf("dropped %d, want decoded-delivered %d", counts.Dropped, counts.Decoded-counts.Delivered)
+			}
+		})
+	}
+}
+
+// TestShardedScanQueueDepthTotal pins the queue-depth gauges to the
+// records queued across all producers, not to whichever producer set
+// them last: with the sink stalled until the run stops moving, 4 shards
+// fill 4 result channels, so the results gauge must exceed what one
+// shard's channel can hold.
+func TestShardedScanQueueDepthTotal(t *testing.T) {
+	data := encodeIndexed(t, testConns(4000), 16)
 	src := shardedSource(t, data, 4)
-	delivered := 0
-	counts, err := ShardedScan(context.Background(), src,
-		Config{Workers: 4, BatchSize: 8},
+	tel := NewTelemetry(nil)
+	const depth, batch = 8, 2
+	oneShard := int64(depth / batch * batch) // chanCap batches of batch records
+	var decoded, results int64
+	stalled := false
+	_, err := ShardedScan(context.Background(), src,
+		Config{Workers: 4, Depth: depth, BatchSize: batch, Ordered: true, Telemetry: tel},
 		func(it Item) error {
-			delivered++
-			if delivered == 50 {
+			if stalled {
 				return ErrStop
 			}
+			stalled = true
+			// Stall until neither the counters nor the gauges have moved
+			// for a while: every channel is then as full as it gets.
+			last, still := [3]int64{-1}, 0
+			for still < 10 {
+				time.Sleep(10 * time.Millisecond)
+				cur := [3]int64{tel.Metrics().Snapshot().Decoded, tel.queueDecos.Value(), tel.queueRes.Value()}
+				if cur == last {
+					still++
+				} else {
+					last, still = cur, 0
+				}
+			}
+			decoded, results = last[1], last[2]
 			return nil
 		})
 	if err != nil {
-		t.Fatalf("ErrStop surfaced as %v", err)
+		t.Fatal(err)
 	}
-	if counts.Delivered != 49 {
-		t.Errorf("delivered count %d, want 49", counts.Delivered)
+	if results <= oneShard {
+		t.Errorf("results queue gauge %d records, want more than one shard's %d", results, oneShard)
+	}
+	if decoded <= oneShard {
+		t.Errorf("decoded queue gauge %d records, want more than one shard's %d", decoded, oneShard)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // at a clean end of stream; any other error aborts the pipeline. Next
 // is called from a single goroutine, so implementations need not
 // support concurrent Next calls. One overlap is part of the contract,
-// though: when the run's context is cancelled, Run/ScanTDCAP return
-// without waiting for a source goroutine that may be blocked inside
-// Next (an uninterruptible read), and the caller will typically tear
+// though: when the run's context is cancelled, Run returns without
+// waiting for a producer goroutine that may be blocked inside Next
+// (an uninterruptible read), and the caller will typically tear
 // the source down right away — so whatever teardown unblocks Next
 // (os.File.Close, workload.StreamRun.Close) must be safe to call
 // concurrently with an in-flight Next.

@@ -8,11 +8,12 @@ import (
 	"tamperdetect/internal/telemetry"
 )
 
-// Pipeline stage indexes for the per-stage latency histograms. The
-// parallel scan path (Stream's default) times the raw-record scanner
-// under "scan" and the per-worker decode under "decode", so /metrics
-// separates boundary-finding cost from field-decoding cost; the
-// sequential Run path attributes its whole source stage to "decode".
+// Pipeline stage indexes for the per-stage latency histograms; the
+// names double as the span names (see trace.go). A scanner producer
+// (Stream, ShardedScan) times the raw-record scanner under "scan" and
+// the per-worker decode under "decode", so /metrics separates
+// boundary-finding cost from field-decoding cost; a Source producer
+// (Run) attributes its whole source stage to "decode".
 const (
 	stageDecode = iota
 	stageClassify
@@ -45,14 +46,14 @@ var dispositionNames = [numDispositions]string{
 //     records after the most recent finished run.
 //   - tamperdetect_pipeline_stage_latency_ns{stage=...}: per-batch
 //     latency histograms for the scan, decode, classify, observe, and
-//     sink stages ("scan" is the parallel path's raw-record scanner;
-//     "decode" is its per-worker field decode, or the whole source
-//     stage on the sequential Run path). Observations are per batch
+//     sink stages ("scan" is a scanner producer's boundary walk;
+//     "decode" is the per-worker field decode, or the whole source
+//     stage of a Source producer under Run). Observations are per batch
 //     (Config.BatchSize records), not per record, which keeps the
-//     classify hot path at two time.Now calls per batch.
+//     classify hot path at one clock read per stage per batch.
 //   - tamperdetect_pipeline_queue_depth_records{queue=...}: sampled
-//     depth of the decode→classify and classify→sink channels, in
-//     records — the backpressure view.
+//     depth of the producer→worker and worker→sink channels, in
+//     records, summed over a run's producers — the backpressure view.
 //   - tamperdetect_pipeline_signature_total{signature=...}: per-
 //     signature classification counts in the paper's notation,
 //     sharded per worker so the zero-allocation batch path stays
@@ -78,8 +79,8 @@ type Telemetry struct {
 	mp      atomic.Pointer[Metrics]
 
 	stageLat   [numStages]*telemetry.Histogram
-	queueDecos *telemetry.Gauge // decode→classify channel, in records
-	queueRes   *telemetry.Gauge // classify→sink channel, in records
+	queueDecos *telemetry.Gauge // producer→worker channels, in records
+	queueRes   *telemetry.Gauge // worker→sink channels, in records
 	sig        [core.NumSignatures]*telemetry.ShardedCounter
 	disp       [numDispositions]*telemetry.ShardedCounter
 	capBytes   *telemetry.Counter

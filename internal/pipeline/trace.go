@@ -2,42 +2,45 @@ package pipeline
 
 import (
 	"strconv"
-	"time"
 
 	"tamperdetect/internal/trace"
 )
 
-// Span instrumentation for the streaming paths. A runTrace holds the
-// per-run interned span names and emit helpers so the hot path never
-// touches strings or locks: emitting a span is a time.Now pair plus a
-// handful of atomic stores into a preallocated ring slot.
+// Span instrumentation for the engine. A runTrace holds the per-run
+// interned span names so the hot path never touches strings or locks:
+// emitting a span is a handful of atomic stores into a preallocated
+// ring slot, timed by the engine's stage clock (engine.now), whose
+// reads also feed the telemetry stage histograms.
 //
 // Span taxonomy (all spans share the tracer's trace ID):
 //
-//	scan            one per raw batch, on the scanner's ring
+//	scan            one per raw batch, on a scanner producer's ring
+//	decode          one per batch: on the worker's ring for a raw
+//	                batch, on the producer's ring for a Source batch
 //	queue-wait      enqueue → worker pickup, per batch (async in the
 //	                Chrome export: its interval overlaps whatever the
 //	                picking worker was doing before)
-//	decode          one per batch, on the worker's ring
-//	decode.record   per head-sampled record, nested in decode
+//	decode.record   per head-sampled record, nested in decode (raw
+//	                batches only)
 //	classify        one per batch (+ classify.record)
 //	observe         one per batch (+ observe.record)
 //	sink            one per delivered batch (+ sink.record), on the
 //	                deliver ring
 //
-// Lineage: scan is the parent of the batch's queue-wait, decode,
-// classify, observe, and sink spans; record spans parent to their
-// batch span. Shard attribution rides every span (-1 on the
-// unsharded paths), so a sharded run's spans separate cleanly per
+// Lineage: the producer's span (scan, or decode for a Source) is the
+// parent of the batch's later stage spans; record spans parent to
+// their batch span. Shard attribution rides every span (-1 on an
+// unsharded run), so a sharded run's spans separate cleanly per
 // segment.
 type runTrace struct {
 	t *trace.Tracer
 
-	scan, queueWait, decode, classify, observe, sink int32
-	decodeRec, classifyRec, observeRec, sinkRec      int32
+	queueWait     int32
+	stage, record [numStages]int32 // interned names by stage index
 }
 
-// Stable span names, shared with the exporters and tests.
+// Stable span names, shared with the exporters and tests. They equal
+// the telemetry stage names.
 const (
 	SpanScan     = "scan"
 	SpanDecode   = "decode"
@@ -50,23 +53,13 @@ func newRunTrace(t *trace.Tracer) *runTrace {
 	if t == nil {
 		return nil
 	}
-	return &runTrace{
-		t:           t,
-		scan:        t.NameID(SpanScan),
-		queueWait:   t.NameID(trace.QueueWaitName),
-		decode:      t.NameID(SpanDecode),
-		classify:    t.NameID(SpanClassify),
-		observe:     t.NameID(SpanObserve),
-		sink:        t.NameID(SpanSink),
-		decodeRec:   t.NameID(SpanDecode + ".record"),
-		classifyRec: t.NameID(SpanClassify + ".record"),
-		observeRec:  t.NameID(SpanObserve + ".record"),
-		sinkRec:     t.NameID(SpanSink + ".record"),
+	rt := &runTrace{t: t, queueWait: t.NameID(trace.QueueWaitName)}
+	for i, name := range stageNames {
+		rt.stage[i] = t.NameID(name)
+		rt.record[i] = t.NameID(name + ".record")
 	}
+	return rt
 }
-
-// nowNS is the span clock.
-func nowNS() int64 { return time.Now().UnixNano() }
 
 // itoa keeps the goroutine-setup call sites short.
 func itoa(i int) string { return strconv.Itoa(i) }

@@ -130,6 +130,47 @@ func TestTraceStageSpanCoverageAndLineage(t *testing.T) {
 	}
 }
 
+// TestStageClockShared pins the one stage clock: each stage boundary
+// is read once and feeds both the telemetry histogram and the span, so
+// for every stage the histogram's Sum equals the summed Dur of that
+// stage's batch spans exactly — on Stream, where the workers decode,
+// and on Run, where the producer does.
+func TestStageClockShared(t *testing.T) {
+	data := encode(t, testConns(2000))
+	for _, ep := range entryPoints(t, data, 1)[:2] {
+		tel := NewTelemetry(nil)
+		tr := trace.New(trace.Config{MaxProfile: 1 << 20})
+		cfg := Config{Workers: 3, BatchSize: 16, Telemetry: tel, Tracer: tr,
+			Observe: func(int, Item) {}}
+		if _, err := ep.run(context.Background(), cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		if d := tr.ProfileDropped(); d != 0 {
+			t.Fatalf("%s: profile dropped %d spans", ep.name, d)
+		}
+		var dur [numStages]int64
+		var spans [numStages]int
+		for _, sp := range tr.TakeProfile() {
+			for st, name := range stageNames {
+				if sp.Name == name {
+					dur[st] += sp.Dur
+					spans[st]++
+				}
+			}
+		}
+		for st := range stageNames {
+			h := tel.stageLat[st].Snapshot()
+			if h.Count != uint64(spans[st]) || h.Sum != dur[st] {
+				t.Errorf("%s %s: histogram count %d sum %d, spans %d summing %d",
+					ep.name, stageNames[st], h.Count, h.Sum, spans[st], dur[st])
+			}
+			if h.Count == 0 && st != stageScan {
+				t.Errorf("%s %s: no batches timed", ep.name, stageNames[st])
+			}
+		}
+	}
+}
+
 // TestTraceShardedScanCarriesShard checks that ShardedScan stamps the
 // owning segment on its spans: scan spans appear for every shard, and
 // worker/sink spans inherit the shard of the batch they process.

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Perf-trajectory harness: runs the streaming-pipeline benchmark
 # (BenchmarkStreamPipeline, workers {1,4,16} x batch {1,64}), the
-# decode-parallel benchmark (BenchmarkDecodeParallel, scan vs seq
+# decode-parallel benchmark (BenchmarkDecodeParallel, the scanner
 # front end at workers {1,4,16}), the sharded-ingest benchmark
 # (BenchmarkShardedIngest, single-scanner baseline vs segment-index
 # shards {1,2,4,8}), the geo-lookup cache benchmark

@@ -75,10 +75,8 @@ type telemetryOverhead struct {
 	ExtraAllocsPerRecord float64       `json:"extra_allocs_per_record"`
 }
 
-// decodeParallelCell is one path×workers cell of
-// BenchmarkDecodeParallel: path "scan" is the scanner + decode-in-
-// worker front end (Stream's default), path "seq" the single-goroutine
-// decode source it replaced.
+// decodeParallelCell is one workers cell of BenchmarkDecodeParallel:
+// path "scan" is the scanner + decode-in-worker front end (Stream).
 type decodeParallelCell struct {
 	Path            string  `json:"path"`
 	Workers         int     `json:"workers"`
@@ -89,15 +87,13 @@ type decodeParallelCell struct {
 }
 
 // decodeParallel summarizes the decode-parallel grid. ScalingX is
-// scan-path workers=16 throughput over workers=1 (the scaling gate's
-// metric — meaningful only on multi-core hosts, so NumCPU is recorded
-// beside it); SpeedupAt1 is scan/seq at workers=1, the work-placement
-// win that shows even on one core.
+// workers=16 throughput over workers=1 (the scaling gate's metric —
+// meaningful only on multi-core hosts, so NumCPU is recorded beside
+// it).
 type decodeParallel struct {
-	NumCPU     int                  `json:"num_cpu"`
-	Cells      []decodeParallelCell `json:"cells"`
-	ScalingX   float64              `json:"scan_workers16_over_1"`
-	SpeedupAt1 float64              `json:"scan_over_seq_workers1"`
+	NumCPU   int                  `json:"num_cpu"`
+	Cells    []decodeParallelCell `json:"cells"`
+	ScalingX float64              `json:"scan_workers16_over_1"`
 }
 
 // shardedIngestCell is one cell of BenchmarkShardedIngest: path "scan"
@@ -181,7 +177,7 @@ var (
 	geoRe       = regexp.MustCompile(`^BenchmarkGeoLookup/mode=(cached|uncached)(?:-\d+)?$`)
 	telemetryRe = regexp.MustCompile(`^BenchmarkStreamTelemetryOverhead/telemetry=(on|off)(?:-\d+)?$`)
 	traceRe     = regexp.MustCompile(`^BenchmarkStreamTraceOverhead/trace=(on|off)(?:-\d+)?$`)
-	decodeRe    = regexp.MustCompile(`^BenchmarkDecodeParallel/path=(scan|seq)/workers=(\d+)(?:-\d+)?$`)
+	decodeRe    = regexp.MustCompile(`^BenchmarkDecodeParallel/path=(scan)/workers=(\d+)(?:-\d+)?$`)
 	shardedRe   = regexp.MustCompile(`^BenchmarkShardedIngest/path=(scan|sharded)/(?:workers|shards)=(\d+)(?:-\d+)?$`)
 	longGenRe   = regexp.MustCompile(`^BenchmarkLongitudinalGen/preset=([A-Za-z0-9_-]+)/hours=(\d+)(?:-\d+)?$`)
 	simRe       = regexp.MustCompile(`^BenchmarkScenarioSimulation(?:-\d+)?$`)
@@ -435,26 +431,17 @@ func aggregate(src *os.File) (*report, error) {
 				AllocsPerRecord: median(units["allocs/record"]),
 			})
 		}
-		sort.Slice(dp.Cells, func(i, j int) bool {
-			a, b := dp.Cells[i], dp.Cells[j]
-			if a.Path != b.Path {
-				return a.Path < b.Path // scan before seq
-			}
-			return a.Workers < b.Workers
-		})
-		at := func(path string, workers int) float64 {
+		sort.Slice(dp.Cells, func(i, j int) bool { return dp.Cells[i].Workers < dp.Cells[j].Workers })
+		at := func(workers int) float64 {
 			for _, c := range dp.Cells {
-				if c.Path == path && c.Workers == workers {
+				if c.Workers == workers {
 					return c.RecordsPerSec
 				}
 			}
 			return 0
 		}
-		if one := at("scan", 1); one > 0 {
-			dp.ScalingX = at("scan", 16) / one
-			if seq := at("seq", 1); seq > 0 {
-				dp.SpeedupAt1 = one / seq
-			}
+		if one := at(1); one > 0 {
+			dp.ScalingX = at(16) / one
 		}
 		rep.DecodeParallel = dp
 	}
@@ -591,7 +578,7 @@ func validateFile(path string) error {
 			return fmt.Errorf("%s: decode_parallel is empty", path)
 		}
 		for _, c := range d.Cells {
-			if (c.Path != "scan" && c.Path != "seq") || c.Workers < 1 || c.RecordsPerSec <= 0 {
+			if c.Path != "scan" || c.Workers < 1 || c.RecordsPerSec <= 0 {
 				return fmt.Errorf("%s: decode_parallel cell path=%q workers=%d invalid", path, c.Path, c.Workers)
 			}
 		}

@@ -8,6 +8,33 @@
 #	./scripts/check.sh
 set -eu
 
+# gate PKG TEST... runs the named tests focused and uncached and fails
+# unless every one of them reports --- PASS, so a gate cannot pass
+# vacuously when a test it names has been renamed or deleted. Several
+# names must all be top-level tests and are matched exactly; a single
+# name may be a Parent/subtest path, each level matched exactly.
+gate() {
+	pkg=$1
+	shift
+	if [ $# -eq 1 ]; then
+		re="^$(printf '%s' "$1" | sed 's|/|$/^|g')\$"
+	else
+		re="^($(printf '%s|' "$@" | sed 's/|$//'))\$"
+	fi
+	if ! out=$(go test "$pkg" -run "$re" -count=1 -v 2>&1); then
+		printf '%s\n' "$out"
+		return 1
+	fi
+	for name in "$@"; do
+		if ! printf '%s\n' "$out" | grep -qF -- "--- PASS: $name ("; then
+			printf '%s\n' "$out" | tail -20
+			echo "FAIL: $pkg: $name did not report --- PASS" >&2
+			return 1
+		fi
+	done
+	echo "ok  $pkg: $*"
+}
+
 echo "== go vet ./... =="
 go vet ./...
 
@@ -18,7 +45,7 @@ go test -race ./...
 # per grade) focused and uncached, so a flake in the broad -race pass
 # cannot mask it and its pass/fail is visible on its own line.
 echo "== robustness false-positive gate (full scale) =="
-go test ./internal/workload/ -run 'TestLossyGradeZeroFalsePositives' -count=1
+gate ./internal/workload/ TestLossyGradeZeroFalsePositives
 
 # Aggregation parity gate: the full paper surface rendered via the
 # legacy batch functions, the streaming pipeline at 1/4/16 workers,
@@ -26,12 +53,12 @@ go test ./internal/workload/ -run 'TestLossyGradeZeroFalsePositives' -count=1
 # byte-identical. This is the tentpole invariant of the incremental
 # aggregation subsystem; run it focused and uncached.
 echo "== batch / streaming / PoP-merge parity gate =="
-go test ./internal/analysis/ -run 'TestParityStreamingMatchesBatch|TestParityPoPMergeMatchesBatch' -count=1
+gate ./internal/analysis/ TestParityStreamingMatchesBatch TestParityPoPMergeMatchesBatch
 
 # Pipeline metric sanity: after any run, delivered <= classified <=
 # decoded and the dropped counter accounts exactly for the gap.
 echo "== pipeline metrics monotonicity gate =="
-go test ./internal/pipeline/ -run 'TestMetricsMonotonicity' -count=1
+gate ./internal/pipeline/ TestMetricsMonotonicity
 
 # DFA classifier differential gate: the compiled signature automaton
 # must match the legacy multi-pass matcher Result-for-Result over the
@@ -39,7 +66,7 @@ go test ./internal/pipeline/ -run 'TestMetricsMonotonicity' -count=1
 # signature table, and the fixture corpus. Run focused and uncached so
 # its pass/fail is visible on its own line.
 echo "== DFA classifier differential gate =="
-go test ./internal/core/ -run 'TestDFAMatchesLegacy|TestDFASignatureTable' -count=1
+gate ./internal/core/ TestDFAMatchesLegacyExhaustive TestDFAMatchesLegacyCorpus TestDFASignatureTable
 
 # Decode scaling gate: the parallel decode path at 16 workers must
 # ingest >=2x the records/sec of 1 worker. The test skips (loudly)
@@ -49,17 +76,18 @@ echo "== decode parallel scaling gate =="
 TAMPERDETECT_SCALING_GATE=1 go test ./internal/pipeline/ -run 'TestDecodeParallelScalingGate' -count=1 -v | grep -E 'SKIP|PASS|FAIL|ok ' || true
 TAMPERDETECT_SCALING_GATE=1 go test ./internal/pipeline/ -run 'TestDecodeParallelScalingGate' -count=1 >/dev/null
 
-# Sharded ingest parity gate: the segment-index multi-reader scan
-# must deliver byte-identical aggregates to the single scanner at
-# shards {1,2,4,8} x ordered {on,off}, survive a corrupt record with
+# Sharded ingest parity gate: Run, Stream and the segment-index
+# multi-reader scan at shards {1,2,4,8}, each ordered {on,off}, must
+# deliver byte-identical results and counts, the queue-depth gauges
+# must sum over shards, the scan must survive a corrupt record with
 # exactly the good-prefix union, and refuse a lying index (seam
 # violations surface as ErrBadIndex; any sharded scan error at all
 # triggers the tamperscan/paperbench discard-and-rescan). The
 # end-to-end fallback contract — a bad index warns and never changes
 # tamperscan's output — runs alongside.
 echo "== sharded ingest parity + fallback gate =="
-go test ./internal/pipeline/ -run 'TestShardedScanParity|TestShardedScanCorruptSegment|TestShardedScanLyingSeamOffset|TestShardedScanSeamUndercount' -count=1
-go test ./cmd/tamperscan/ -run 'TestRunShardedParity|TestRunShardedFallsBack|TestRunShardedRescan' -count=1
+gate ./internal/pipeline/ TestShardedScanParity TestShardedScanCorruptSegment TestShardedScanLyingSeamOffset TestShardedScanSeamUndercount TestShardedScanQueueDepthTotal
+gate ./cmd/tamperscan/ TestRunShardedParity TestRunShardedFallsBackWithoutIndex TestRunShardedFallsBackOnDamagedSidecar TestRunShardedRescanOnLyingIndex TestRunShardedRescanOnMidRecordSeam
 
 # Sharded scaling gate: 8 shards must ingest >=2x the records/sec of
 # 1 shard. Like the decode gate, it skips (loudly) on hosts with <4
@@ -74,7 +102,7 @@ TAMPERDETECT_SCALING_GATE=1 go test ./internal/pipeline/ -run 'TestShardedIngest
 # corruption of the fixture capture (same record counts, same error
 # classes) — the invariant tamperscan's exit-3 behaviour rests on.
 echo "== scanner/reader parity gate =="
-go test ./internal/capture/ -run 'TestScannerMatchesReader|TestScannerTruncationParity|TestScannerCorruptionParity' -count=1
+gate ./internal/capture/ TestScannerMatchesReader TestScannerTruncationParity TestScannerCorruptionParity
 
 # Telemetry gate: run tamperscan with -metrics-addr over a fixture
 # capture, scrape /metrics and /healthz live (the gate test fails on
@@ -83,24 +111,26 @@ go test ./internal/capture/ -run 'TestScannerMatchesReader|TestScannerTruncation
 # package's own shutdown-leak test runs alongside for the standalone
 # server path.
 echo "== telemetry exposition + shutdown gate =="
-go test ./cmd/tamperscan/ -run 'TestMetricsAddrServesExposition' -count=1
-go test ./internal/telemetry/ -run 'TestServerShutdownNoGoroutineLeak|TestServerEndpoints' -count=1
+gate ./cmd/tamperscan/ TestMetricsAddrServesExposition
+gate ./internal/telemetry/ TestServerShutdownNoGoroutineLeak TestServerEndpoints
 
 # Tracing gate: the span engine's whole contract, focused and
 # uncached. The sampled span set must be deterministic across worker
 # counts {1,4,16}; the hot path with sampling off must add zero
-# allocations per record; a live /debug/tracez scrape racing a
-# graceful shutdown must neither tear nor leak goroutines; the Chrome
+# allocations per record; each stage's span durations must sum exactly
+# to its telemetry histogram (one shared stage clock); a live
+# /debug/tracez scrape racing a graceful shutdown must neither tear
+# nor leak goroutines; the Chrome
 # trace-event export written by tamperscan -trace-profile must pass
 # the strict validator (valid JSON, known phases, per-thread spans
 # strictly nested); and the cross-PoP e2e — tamperscan -push through
 # a lossy chaos transport into a live popmerge — must land the
 # merger's validate/merge spans in the pushing scan's trace.
 echo "== tracing: determinism + hot-path allocs + tracez race gate =="
-go test ./internal/pipeline/ -run 'TestTraceSampledSetDeterministic|TestTraceHotPathAllocationFree|TestTraceTracezScrapeDuringShutdown' -count=1
+gate ./internal/pipeline/ TestTraceSampledSetDeterministic TestTraceHotPathAllocationFree TestTraceTracezScrapeDuringShutdown TestStageClockShared
 echo "== tracing: Chrome export validity + cross-PoP propagation gate =="
-go test ./cmd/tamperscan/ -run 'TestRunTraceProfileExport|TestRunPushTraced|TestRunFlightDumpOnRescan' -count=1
-go test ./internal/fleet/ -run 'TestFleetTraceContextPropagation|TestEnvelopeMixedFleetParity' -count=1
+gate ./cmd/tamperscan/ TestRunTraceProfileExport TestRunPushTraced TestRunFlightDumpOnRescan
+gate ./internal/fleet/ TestFleetTraceContextPropagation TestEnvelopeMixedFleetParity
 
 # Fleet chaos-parity gate: 20 in-process PoPs (19 concurrent + one
 # straggler past the quorum close) push per-epoch snapshots through a
@@ -111,22 +141,23 @@ go test ./internal/fleet/ -run 'TestFleetTraceContextPropagation|TestEnvelopeMix
 # round-trip/merge-equivalence and (pop, epoch) idempotency property
 # tests run alongside, focused and uncached.
 echo "== fleet chaos parity gate (20 PoPs, lossy) =="
-go test ./internal/fleet/ -run 'TestChaosParity20PoPs/lossy|TestMergerIdempotent|TestMergerOrderAndDuplicationInvariance' -count=1
-go test ./internal/analysis/ -run 'TestSnapshotRoundTripParity|TestSnapshotRestoreIsMerge' -count=1
+gate ./internal/fleet/ TestChaosParity20PoPs/lossy
+gate ./internal/fleet/ TestMergerIdempotent TestMergerOrderAndDuplicationInvariance
+gate ./internal/analysis/ TestSnapshotRoundTripParity TestSnapshotRestoreIsMerge
 
 # Scenario preset gate: every embedded preset must parse, validate,
 # and assemble; the codec must reject unknown fields, out-of-range
 # intensities, and malformed phase tables; and a preset expanded twice
 # must yield identical spec streams. Run focused and uncached.
 echo "== scenario preset validation gate =="
-go test ./internal/workload/ -run 'TestPresetsValid|TestPresetRoundTrip|TestPresetSpecsDeterministic|TestScenarioFileRejections' -count=1
+gate ./internal/workload/ TestPresetsValid TestPresetRoundTrip TestPresetSpecsDeterministic TestScenarioFileRejections
 
 # Arrival trace record/replay gate: a recorded trace must replay to a
 # byte-identical capture and refuse mismatched scenarios or corrupted
 # frames.
 echo "== arrival trace record/replay gate =="
-go test ./internal/workload/ -run 'TestTraceRoundTrip|TestTraceRejects' -count=1
-go test ./cmd/trafficgen/ -run 'TestRunTraceRecordReplay' -count=1
+gate ./internal/workload/ TestTraceRoundTrip TestTraceRejectsMismatchedScenario TestTraceRejectsCorruption
+gate ./cmd/trafficgen/ TestRunTraceRecordReplay
 
 # Virtual-time determinism gate, at full paper scale: the 14-day-class
 # iran2022 preset (408 virtual hours) must generate in under 60
@@ -136,7 +167,7 @@ go test ./cmd/trafficgen/ -run 'TestRunTraceRecordReplay' -count=1
 # TestRunVirtualWindowCoverage / TestRunDeterministicAcrossWorkers
 # cover the same contracts at test scale).
 echo "== virtual-time determinism gate (full-scale iran2022) =="
-go test ./cmd/trafficgen/ -run 'TestRunDeterministicAcrossWorkers|TestRunVirtualWindowCoverage' -count=1
+gate ./cmd/trafficgen/ TestRunDeterministicAcrossWorkers TestRunVirtualWindowCoverage
 det_dir="$(mktemp -d)"
 go build -o "$det_dir/trafficgen" ./cmd/trafficgen
 det_start="$(date +%s)"
