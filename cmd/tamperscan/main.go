@@ -20,6 +20,8 @@
 //	tamperscan [-v] [-tampered-only] [-workers N] [-shards N]
 //	           [-classifier dfa|legacy]
 //	           [-metrics-addr host:port] [-progress interval]
+//	           [-cpuprofile file] [-memprofile file]
+//	           [-blockprofile file] [-mutexprofile file]
 //	           capture.{tdcap,pcap}
 //
 // TDCAP input streams through the parallel decode pipeline: a scanner
@@ -58,6 +60,15 @@
 // dumps to stderr as JSON lines (and to -flight-out FILE when set) for
 // post-mortem triage.
 //
+// The -v listing and the report share one 64 KiB stdout buffer, so a
+// slow live feed (a tcpdump pipe, a -push PoP reading stdin) shows the
+// listing in bursts of several hundred lines rather than line by line;
+// every return path, interrupt and error included, flushes it.
+//
+// -cpuprofile/-memprofile/-blockprofile/-mutexprofile write Go pprof
+// profiles of the scan; block and mutex profiling are armed only when
+// requested.
+//
 // With -push URL, the scan doubles as a fleet PoP: classified
 // connections also feed the full fleet aggregator set, and per-epoch
 // delta snapshots are pushed to a popmerge service (internal/fleet) —
@@ -91,8 +102,10 @@ import (
 	"os/signal"
 	"runtime"
 	"sort"
+	"strconv"
 	"syscall"
 	"time"
+	"unicode/utf8"
 
 	"tamperdetect"
 	"tamperdetect/internal/analysis"
@@ -102,6 +115,7 @@ import (
 	"tamperdetect/internal/netsim"
 	"tamperdetect/internal/pcap"
 	"tamperdetect/internal/pipeline"
+	"tamperdetect/internal/profiling"
 	"tamperdetect/internal/stats"
 	"tamperdetect/internal/telemetry"
 	"tamperdetect/internal/trace"
@@ -154,9 +168,15 @@ func main() {
 	flag.StringVar(&opts.traceProfile, "trace-profile", "", "export the scan's spans as Chrome trace-event JSON to this file")
 	flag.IntVar(&opts.traceSample, "trace-sample", trace.DefaultSampleEvery, "emit per-record spans for every Nth record (0 = batch spans only)")
 	flag.StringVar(&opts.flightOut, "flight-out", "", "also write flight-recorder dumps to this file")
+	var prof profiling.Config
+	flag.StringVar(&prof.CPUProfile, "cpuprofile", "", "write a CPU profile to this path")
+	flag.StringVar(&prof.MemProfile, "memprofile", "", "write an allocation profile to this path")
+	flag.StringVar(&prof.BlockProfile, "blockprofile", "", "write a goroutine blocking profile to this path")
+	flag.StringVar(&prof.MutexProfile, "mutexprofile", "", "write a mutex contention profile to this path")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, `usage: tamperscan [-v] [-tampered-only] [-workers N] [-shards N] [-classifier dfa|legacy] [-metrics-addr host:port] [-progress interval]
                   [-log-format text|json] [-trace-profile file] [-trace-sample N] [-flight-out file]
+                  [-cpuprofile file] [-memprofile file] [-blockprofile file] [-mutexprofile file]
                   [-push URL [-pop name] [-push-interval D] [-push-spill dir]] capture.{tdcap,pcap}
 
 exit status:
@@ -174,7 +194,18 @@ exit status:
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), opts); err != nil {
+	stopProf, err := profiling.Start(prof)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tamperscan:", err)
+		os.Exit(1)
+	}
+	err = run(flag.Arg(0), opts)
+	// os.Exit skips deferred calls, so the profiles stop here, before
+	// any exit.
+	if perr := stopProf(); perr != nil {
+		fmt.Fprintln(os.Stderr, "tamperscan: profile write failed:", perr)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "tamperscan:", err)
 		// A truncated or corrupt capture that still yielded results
 		// exits 3, distinct from total failure (1) and usage (2), so
@@ -265,29 +296,57 @@ func (rep *report) Merge(other analysis.Aggregator) error {
 func (rep *report) Finalize() any { return rep }
 
 // verbosePrinter is the ordered pipeline sink behind -v: one line per
-// connection, in decode order.
-func verbosePrinter(tamperedOnly bool) pipeline.Sink {
+// connection, in decode order, appended into a reused line buffer and
+// written to out. Each line reads
+//
+//	src:port -> :port  <signature, padded to 26> <stage, padded to 9> proto=P domain=D
+//
+// where padding counts runes, as fmt's width does: signature names
+// such as "SYN → ∅" hold multi-byte runes.
+func verbosePrinter(out *bufio.Writer, tamperedOnly bool) pipeline.Sink {
+	var line []byte
 	return func(it pipeline.Item) error {
 		res := it.Res
 		if tamperedOnly && !res.Signature.IsTampering() {
 			return nil
 		}
-		domain := res.Domain
-		if domain == "" {
-			domain = "-"
+		line = it.Conn.SrcIP.AppendTo(line[:0])
+		line = append(line, ':')
+		line = strconv.AppendUint(line, uint64(it.Conn.SrcPort), 10)
+		line = append(line, " -> :"...)
+		line = strconv.AppendUint(line, uint64(it.Conn.DstPort), 10)
+		line = append(line, "  "...)
+		line = appendPadded(line, res.Signature.String(), 26)
+		line = append(line, ' ')
+		line = appendPadded(line, res.Stage.String(), 9)
+		line = append(line, " proto="...)
+		line = append(line, res.Protocol.String()...)
+		line = append(line, " domain="...)
+		if res.Domain == "" {
+			line = append(line, '-')
+		} else {
+			line = append(line, res.Domain...)
 		}
-		fmt.Printf("%s:%d -> :%d  %-26s %-9s proto=%s domain=%s\n",
-			it.Conn.SrcIP, it.Conn.SrcPort, it.Conn.DstPort,
-			res.Signature, res.Stage, res.Protocol, domain)
-		return nil
+		line = append(line, '\n')
+		_, err := out.Write(line)
+		return err
 	}
 }
 
-func (rep *report) print() {
-	fmt.Printf("connections:       %d\n", rep.total)
-	fmt.Printf("possibly tampered: %d (%.1f%%)\n", rep.possibly,
+// appendPadded appends s left-justified in width runes, like fmt's %-*s.
+func appendPadded(b []byte, s string, width int) []byte {
+	b = append(b, s...)
+	for n := utf8.RuneCountInString(s); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return b
+}
+
+func (rep *report) print(w io.Writer) {
+	fmt.Fprintf(w, "connections:       %d\n", rep.total)
+	fmt.Fprintf(w, "possibly tampered: %d (%.1f%%)\n", rep.possibly,
 		stats.Percent(stats.Ratio(rep.possibly, rep.total)))
-	fmt.Println("\nsignature histogram:")
+	fmt.Fprintln(w, "\nsignature histogram:")
 	type row struct {
 		sig tamperdetect.Signature
 		n   int
@@ -305,13 +364,13 @@ func (rep *report) print() {
 			evid = fmt.Sprintf("  (IP-ID delta >100 in %.0f%%)",
 				stats.Percent(stats.Ratio(rep.evidenceBig[r.sig], n)))
 		}
-		fmt.Printf("  %-28s %8d  %5.1f%%%s\n", r.sig, r.n,
+		fmt.Fprintf(w, "  %-28s %8d  %5.1f%%%s\n", r.sig, r.n,
 			stats.Percent(stats.Ratio(r.n, rep.total)), evid)
 	}
-	fmt.Println("\nstage breakdown of possibly-tampered:")
+	fmt.Fprintln(w, "\nstage breakdown of possibly-tampered:")
 	for st := core.StagePostSYN; st <= core.StageOther; st++ {
 		if rep.stages[st] > 0 {
-			fmt.Printf("  %-10s %8d  %5.1f%%\n", st, rep.stages[st],
+			fmt.Fprintf(w, "  %-10s %8d  %5.1f%%\n", st, rep.stages[st],
 				stats.Percent(stats.Ratio(rep.stages[st], rep.possibly)))
 		}
 	}
@@ -331,6 +390,11 @@ func run(path string, opts options) error {
 	if opts.shards < 0 {
 		return fmt.Errorf("-shards %d: want >= 0", opts.shards)
 	}
+	// Everything run prints on stdout (the -v listing, then the report)
+	// goes through one buffer, flushed on every return: clean, partial,
+	// interrupted or failed.
+	out := bufio.NewWriterSize(os.Stdout, 64<<10)
+	defer out.Flush()
 	// The flight recorder, correlation ID, and tracer always exist:
 	// batch-level span emission is allocation-free (pinned by the
 	// stream_trace_overhead gate), and a crash dump must be available
@@ -442,7 +506,7 @@ func run(path string, opts options) error {
 		sharded := analysis.NewSharded(nil, nworkers, newReport)
 		var sink pipeline.Sink
 		if opts.verbose {
-			sink = verbosePrinter(opts.tamperedOnly)
+			sink = verbosePrinter(out, opts.tamperedOnly)
 		}
 		observe := sharded.Observe
 		var fp *fleetPush
@@ -546,10 +610,10 @@ func run(path string, opts options) error {
 		// report what was classified, then surface the early end with a
 		// distinct exit code.
 		log.Warn("scan ended early; reporting the scanned prefix", "err", runErr.Error(), "connections", rep.total)
-		rep.print()
+		rep.print(out)
 		return &partialError{err: runErr}
 	}
-	rep.print()
+	rep.print(out)
 	return nil
 }
 
@@ -647,9 +711,18 @@ func segmentedSource(isTDCAP bool, f *os.File, path string, shards, workers int,
 // drained at EOF. Both directions may be present in the file; the
 // sampler keeps only inbound (client→server) packets, keyed by each
 // flow's initial SYN, exactly as the deployment does.
+//
+// It is a pull source: Next reads and samples packets until a drained
+// connection is pending. A read error ends the stream after the
+// connections already drained; flows still open at that point are not
+// reported.
 type pcapSource struct {
-	ch  chan *capture.Connection
-	err error // set before ch closes
+	pr      *pcap.Reader
+	sampler *capture.Sampler
+	pending []*capture.Connection
+	err     error // returned once pending is empty; io.EOF after the final drain
+
+	first, last, lastSweep int64
 }
 
 func newPcapSource(r io.Reader) (*pcapSource, error) {
@@ -657,57 +730,44 @@ func newPcapSource(r io.Reader) (*pcapSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &pcapSource{ch: make(chan *capture.Connection, 64)}
-	go func() {
-		defer close(s.ch)
-		sampler := capture.NewSampler(capture.DefaultConfig())
-		emit := func(conns []*capture.Connection) {
-			for _, c := range conns {
-				s.ch <- c
-			}
-		}
-		var first, last, lastSweep int64 = -1, 0, 0
-		for {
-			p, err := pr.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				s.err = err
-				return
-			}
-			if len(p.Data) == 0 {
-				continue
-			}
-			if first < 0 {
-				first = p.TimestampNanos
-			}
-			last = p.TimestampNanos
-			// Rebase to the capture's own epoch so record timestamps are
-			// small offsets, like the simulator's.
-			at := netsim.Time(p.TimestampNanos - first)
-			sampler.Inbound(at, p.Data)
-			// Periodically evict long-idle flows so arbitrarily large
-			// captures stream in bounded memory.
-			if sec := at.Unix(); sec-lastSweep >= 300 {
-				lastSweep = sec
-				emit(sampler.DrainIdle(at, 120))
-			}
-		}
-		closeAt := netsim.Time(last - first).Add(60e9)
-		emit(sampler.Drain(closeAt))
-	}()
-	return s, nil
+	return &pcapSource{pr: pr, sampler: capture.NewSampler(capture.DefaultConfig()), first: -1}, nil
 }
 
 // Next yields the next sampled connection.
 func (s *pcapSource) Next() (*capture.Connection, error) {
-	c, ok := <-s.ch
-	if !ok {
+	for len(s.pending) == 0 {
 		if s.err != nil {
 			return nil, s.err
 		}
-		return nil, io.EOF
+		p, err := s.pr.Read()
+		if err == io.EOF {
+			s.err = io.EOF
+			s.pending = s.sampler.Drain(netsim.Time(s.last - s.first).Add(60e9))
+			continue
+		}
+		if err != nil {
+			s.err = err
+			continue
+		}
+		if len(p.Data) == 0 {
+			continue
+		}
+		if s.first < 0 {
+			s.first = p.TimestampNanos
+		}
+		s.last = p.TimestampNanos
+		// Rebase to the capture's own epoch so record timestamps are
+		// small offsets, like the simulator's.
+		at := netsim.Time(p.TimestampNanos - s.first)
+		s.sampler.Inbound(at, p.Data)
+		// Periodically evict long-idle flows so arbitrarily large
+		// captures stream in bounded memory.
+		if sec := at.Unix(); sec-s.lastSweep >= 300 {
+			s.lastSweep = sec
+			s.pending = s.sampler.DrainIdle(at, 120)
+		}
 	}
+	c := s.pending[0]
+	s.pending = s.pending[1:]
 	return c, nil
 }

@@ -34,7 +34,8 @@ type fleetPush struct {
 	mu        sync.Mutex
 	agg       analysis.Multi
 	geo       *geo.Cache
-	n         int // records in the open epoch
+	rec       analysis.Record // built per record, lent to agg.Add
+	n         int             // records in the open epoch
 	lastEpoch uint64
 	haveEpoch bool
 	seq       uint64
@@ -114,8 +115,8 @@ func (fp *fleetPush) observe(it pipeline.Item) {
 		return
 	}
 	fp.mu.Lock()
-	rec := analysis.NewRecord(it.Conn, fp.geo, it.Res)
-	fp.agg.Add(&rec)
+	fp.rec = analysis.NewRecord(it.Conn, fp.geo, it.Res)
+	fp.agg.Add(&fp.rec)
 	fp.n++
 	fp.mu.Unlock()
 }

@@ -24,7 +24,6 @@ package analysis
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"tamperdetect/internal/core"
@@ -706,19 +705,22 @@ func NewEvidenceAgg(capPerSig int) *EvidenceAgg {
 // evidenceKey hashes the record's identity for the sampling sketch.
 // It uses only record-derived fields, never arrival order, so every
 // shard computes the same key for the same record.
+//
+// The key is FNV-1a 64 over the source address's text form, the two
+// ports big-endian and the time little-endian, computed inline on a
+// stack buffer so the per-record path does not allocate.
 func evidenceKey(r *Record) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(r.SrcKey))
-	var b [12]byte
-	b[0] = byte(r.SrcPort >> 8)
-	b[1] = byte(r.SrcPort)
-	b[2] = byte(r.DstPort >> 8)
-	b[3] = byte(r.DstPort)
+	var buf [64]byte
+	b := r.SrcIP.AppendTo(buf[:0])
+	b = append(b, byte(r.SrcPort>>8), byte(r.SrcPort), byte(r.DstPort>>8), byte(r.DstPort))
 	for i := 0; i < 8; i++ {
-		b[4+i] = byte(r.Time >> (8 * i))
+		b = append(b, byte(r.Time>>(8*i)))
 	}
-	h.Write(b[:])
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
 }
 
 func (a *EvidenceAgg) Add(r *Record) {

@@ -278,7 +278,7 @@ func (a *OverlapAgg) Add(r *Record) {
 	if _, ok := a.axisIdx[r.Res.Signature]; !ok {
 		return
 	}
-	k := pairKey{src: r.SrcKey, domain: r.Res.Domain}
+	k := pairKey{src: r.SrcIP.String(), domain: r.Res.Domain}
 	a.obs[k] = append(a.obs[k], pairObs{time: r.Time, sig: r.Res.Signature})
 }
 

@@ -7,6 +7,7 @@
 package analysis
 
 import (
+	"net/netip"
 	"runtime"
 	"sort"
 	"sync"
@@ -29,8 +30,9 @@ type Record struct {
 	// Time is the first packet's timestamp in seconds — the canonical
 	// per-pair ordering key of the overlap matrix.
 	Time int64
-	// SrcKey identifies the client address for overlap analysis.
-	SrcKey string
+	// SrcIP is the client address; the overlap matrix keys client
+	// and domain pairs by its text form.
+	SrcIP netip.Addr
 	// SrcPort and DstPort come from the connection's flow key; DstPort
 	// drives the scanner port counters without the raw connection.
 	SrcPort uint16
@@ -47,7 +49,7 @@ func NewRecord(c *capture.Connection, db geo.Resolver, res core.Result) Record {
 	rec := Record{
 		Res:       res,
 		IPVersion: c.IPVersion,
-		SrcKey:    c.SrcIP.String(),
+		SrcIP:     c.SrcIP,
 		SrcPort:   c.SrcPort,
 		DstPort:   c.DstPort,
 	}

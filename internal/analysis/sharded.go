@@ -21,6 +21,10 @@ import (
 type Sharded struct {
 	shards []Aggregator
 	caches []*geo.Cache
+	// recs holds the Record each worker builds its observations into.
+	// Aggregators only borrow the record for the Add call, so one per
+	// worker serves every record without allocating.
+	recs   []Record
 	merged bool
 }
 
@@ -35,6 +39,7 @@ func NewSharded(db *geo.DB, workers int, fresh func() Aggregator) *Sharded {
 	s := &Sharded{
 		shards: make([]Aggregator, workers),
 		caches: make([]*geo.Cache, workers),
+		recs:   make([]Record, workers),
 	}
 	for i := range s.shards {
 		s.shards[i] = fresh()
@@ -44,17 +49,19 @@ func NewSharded(db *geo.DB, workers int, fresh func() Aggregator) *Sharded {
 }
 
 // Observe is the pipeline.Config.Observe hook: it builds the
-// aggregation record with the worker's private geo cache and adds it
-// to the worker's shard. Per the Observe contract this runs
-// sequentially per worker and concurrently across workers, which is
-// exactly the isolation the shards provide. Errored items (classifier
-// panics) carry no classification and are skipped.
+// aggregation record into the worker's own Record, with the worker's
+// private geo cache, and adds it to the worker's shard. Per the
+// Observe contract this runs sequentially per worker and concurrently
+// across workers, which is exactly the isolation the shards provide.
+// Errored items (classifier panics) carry no classification and are
+// skipped.
 func (s *Sharded) Observe(worker int, it pipeline.Item) {
 	if it.Err != nil {
 		return
 	}
-	rec := NewRecord(it.Conn, s.caches[worker], it.Res)
-	s.shards[worker].Add(&rec)
+	rec := &s.recs[worker]
+	*rec = NewRecord(it.Conn, s.caches[worker], it.Res)
+	s.shards[worker].Add(rec)
 }
 
 // Merged folds every shard into one aggregator and returns it. Call

@@ -17,6 +17,7 @@ import (
 
 	"tamperdetect/internal/netsim"
 	"tamperdetect/internal/packet"
+	"tamperdetect/internal/slab"
 )
 
 // PacketRecord is one logged inbound packet: exactly the header fields
@@ -99,11 +100,30 @@ func DefaultConfig() Config {
 
 // Sampler ingests inbound packets at the server tap and accumulates
 // sampled connection records.
+//
+// Records are carved from chunks the sampler allocates in bulk: the
+// Connection itself, an initial Packets array of initialPackets
+// entries (longer flows grow by append), and each payload copy. No
+// carved memory is ever handed out twice, so a drained record stays
+// valid for as long as its holder keeps it, across later Inbound,
+// DrainIdle, Drain and Reset calls. A flow still open at a DrainIdle
+// after having outlived a whole sweep interval is moved out of the
+// chunks (see detach), so long-lived flows do not keep the chunks
+// alive, and with them the records drained from the same chunks.
 type Sampler struct {
 	cfg    Config
 	parser *packet.SummaryParser
-	flows  map[FlowKey]*Connection
+	flows  map[FlowKey]flow
 	order  []FlowKey // insertion order for deterministic drains
+	// settled counts the leading order entries that were already
+	// tracked at the previous DrainIdle.
+	settled int
+
+	// Unused tails of the current record chunks, and the payload
+	// allocator.
+	conns    []Connection
+	packets  []PacketRecord
+	payloads slab.Bytes
 
 	// Stats.
 	SeenPackets    int
@@ -114,15 +134,15 @@ type Sampler struct {
 func NewSampler(cfg Config) *Sampler {
 	s := &Sampler{
 		parser: packet.NewSummaryParser(),
-		flows:  make(map[FlowKey]*Connection),
+		flows:  make(map[FlowKey]flow),
 	}
 	s.Reset(cfg)
 	return s
 }
 
 // Reset drops every tracked flow and the stats and applies cfg, keeping
-// the parser and flow table for reuse. Records already drained stay
-// valid.
+// the parser, flow table and record chunks for reuse. Records already
+// drained stay valid: carving continues after them.
 func (s *Sampler) Reset(cfg Config) {
 	if cfg.Rate == 0 {
 		cfg.Rate = 1
@@ -136,7 +156,7 @@ func (s *Sampler) Reset(cfg Config) {
 	s.cfg = cfg
 	clear(s.flows)
 	clear(s.order)
-	s.order = s.order[:0]
+	s.order, s.settled = s.order[:0], 0
 	s.SeenPackets, s.SampledPackets = 0, 0
 }
 
@@ -151,7 +171,7 @@ func (s *Sampler) Inbound(at netsim.Time, data []byte) {
 	}
 	s.SeenPackets++
 	key := FlowKey{Src: sum.SrcIP, Dst: sum.DstIP, SrcPort: sum.SrcPort, DstPort: sum.DstPort}
-	conn, tracked := s.flows[key]
+	f, tracked := s.flows[key]
 	if !tracked {
 		// New flows are admitted only on their SYN and only when the
 		// flow hash selects them; mid-flow packets of unsampled
@@ -162,14 +182,14 @@ func (s *Sampler) Inbound(at netsim.Time, data []byte) {
 		if !s.selected(key) {
 			return
 		}
-		conn = &Connection{
-			SrcIP: sum.SrcIP, DstIP: sum.DstIP,
-			SrcPort: sum.SrcPort, DstPort: sum.DstPort,
-			IPVersion: sum.IPVersion,
-		}
-		s.flows[key] = conn
+		f.conn = s.newConn()
+		f.conn.SrcIP, f.conn.DstIP = sum.SrcIP, sum.DstIP
+		f.conn.SrcPort, f.conn.DstPort = sum.SrcPort, sum.DstPort
+		f.conn.IPVersion = sum.IPVersion
+		s.flows[key] = f
 		s.order = append(s.order, key)
 	}
+	conn := f.conn
 	ts := at.Unix()
 	conn.TotalPackets++
 	conn.LastActivity = ts
@@ -192,7 +212,12 @@ func (s *Sampler) Inbound(at netsim.Time, data []byte) {
 		if n > s.cfg.MaxPayload {
 			n = s.cfg.MaxPayload
 		}
-		rec.Payload = append([]byte(nil), sum.Payload[:n]...)
+		if f.own {
+			rec.Payload = make([]byte, n)
+		} else {
+			rec.Payload = s.payloads.Carve(n)
+		}
+		copy(rec.Payload, sum.Payload)
 	}
 	if rng := s.cfg.ShuffleWithinSecond; rng != nil && len(conn.Packets) > 0 {
 		// Insert at a random position among records of the same second,
@@ -208,6 +233,62 @@ func (s *Sampler) Inbound(at netsim.Time, data []byte) {
 		return
 	}
 	conn.Packets = append(conn.Packets, rec)
+}
+
+// flow is one tracked connection. own marks a record detached from
+// the shared chunks, whose later payloads get buffers of their own.
+type flow struct {
+	conn *Connection
+	own  bool
+}
+
+// Chunk sizes for the sampler's record memory. initialPackets covers
+// a typical sampled flow (about 3.7 recorded packets per connection
+// on the iran2022 scenario).
+const (
+	connChunk      = 128
+	initialPackets = 4
+)
+
+// newConn carves a zeroed Connection whose Packets is an empty slice
+// over a private initialPackets-entry array.
+func (s *Sampler) newConn() *Connection {
+	if len(s.conns) == 0 {
+		s.conns = make([]Connection, connChunk)
+	}
+	c := &s.conns[0]
+	s.conns = s.conns[1:]
+	n := min(initialPackets, max(s.cfg.MaxPackets, 0))
+	if len(s.packets) < n {
+		s.packets = make([]PacketRecord, connChunk*initialPackets)
+	}
+	c.Packets = s.packets[:0:n]
+	s.packets = s.packets[n:]
+	return c
+}
+
+// detach copies an open flow's record, packets and payloads into
+// memory of its own and clears the carved original, so that the
+// flow no longer keeps the chunks it was carved from alive.
+func (s *Sampler) detach(c *Connection) *Connection {
+	own := new(Connection)
+	*own = *c
+	own.Packets = make([]PacketRecord, len(c.Packets), max(len(c.Packets), s.cfg.MaxPackets))
+	copy(own.Packets, c.Packets)
+	n := 0
+	for _, p := range c.Packets {
+		n += len(p.Payload)
+	}
+	buf := make([]byte, 0, n)
+	for i, p := range own.Packets {
+		if p.Payload != nil {
+			at := len(buf)
+			buf = append(buf, p.Payload...)
+			own.Packets[i].Payload = buf[at:len(buf):len(buf)]
+		}
+	}
+	*c = Connection{}
+	return own
 }
 
 // selected applies the deterministic uniform flow-hash sampling: the
@@ -244,22 +325,28 @@ func flowHash(key FlowKey) uint64 {
 // DrainIdle closes and returns connections whose last activity is at
 // least idleSeconds old, keeping active flows tracked. Long-running
 // deployments call it periodically to bound memory; the returned
-// records have CloseTime set to now.
+// records have CloseTime set to now. A kept flow that was already
+// tracked at the previous DrainIdle is detached from the record
+// chunks, so memory stays bounded by the flows admitted over the
+// last two calls' interval, however long some flows live.
 func (s *Sampler) DrainIdle(now netsim.Time, idleSeconds int64) []*Connection {
 	ts := now.Unix()
 	var out []*Connection
 	keep := s.order[:0]
-	for _, key := range s.order {
-		conn := s.flows[key]
-		if ts-conn.LastActivity >= idleSeconds {
-			conn.CloseTime = ts
-			out = append(out, conn)
+	for i, key := range s.order {
+		f := s.flows[key]
+		if ts-f.conn.LastActivity >= idleSeconds {
+			f.conn.CloseTime = ts
+			out = append(out, f.conn)
 			delete(s.flows, key)
 			continue
 		}
+		if i < s.settled && !f.own {
+			s.flows[key] = flow{conn: s.detach(f.conn), own: true}
+		}
 		keep = append(keep, key)
 	}
-	s.order = keep
+	s.order, s.settled = keep, len(keep)
 	return out
 }
 
@@ -269,13 +356,13 @@ func (s *Sampler) Drain(closeAt netsim.Time) []*Connection {
 	out := make([]*Connection, 0, len(s.flows))
 	ts := closeAt.Unix()
 	for _, key := range s.order {
-		conn := s.flows[key]
+		conn := s.flows[key].conn
 		conn.CloseTime = ts
 		out = append(out, conn)
 	}
 	clear(s.flows)
 	clear(s.order)
-	s.order = s.order[:0]
+	s.order, s.settled = s.order[:0], 0
 	return out
 }
 

@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"tamperdetect/internal/slab"
 )
 
 // Link types (from the tcpdump LINKTYPE registry).
@@ -41,6 +43,10 @@ var (
 )
 
 // Packet is one captured packet.
+//
+// Data is carved from the Reader's packet chunks (see Reader.Read):
+// it is never overwritten, but a retained Packet keeps its whole
+// 64 KiB chunk alive.
 type Packet struct {
 	// TimestampNanos is the capture time in nanoseconds since the
 	// epoch of the capture (pcap stores seconds + sub-seconds).
@@ -59,16 +65,19 @@ type Reader struct {
 	nanos    bool
 	linkType uint32
 	snapLen  uint32
+	// hdr holds the global header, then each record header in turn.
+	hdr [24]byte
+	// data carves each packet's bytes.
+	data slab.Bytes
 }
 
 // NewReader parses the global header and prepares to stream packets.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	var hdr [24]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	pr := &Reader{r: bufio.NewReader(r)}
+	hdr := pr.hdr[:]
+	if _, err := io.ReadFull(pr.r, hdr); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMagic, err)
 	}
-	pr := &Reader{r: br}
 	magicLE := binary.LittleEndian.Uint32(hdr[0:4])
 	magicBE := binary.BigEndian.Uint32(hdr[0:4])
 	switch {
@@ -102,9 +111,15 @@ func (r *Reader) SnapLen() uint32 { return r.snapLen }
 // Read returns the next packet, or io.EOF at the end. Packets whose
 // link-layer payload is not IPv4/IPv6 (e.g. ARP frames) are returned
 // with empty Data; callers skip them.
+//
+// Each packet's bytes are carved from a shared 64 KiB chunk
+// (internal/slab), so reading costs one allocation per chunk rather
+// than one per packet. Every returned
+// Packet owns its Data: later reads never overwrite it, and callers
+// may keep any number of packets.
 func (r *Reader) Read() (Packet, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	hdr := r.hdr[:16]
+	if _, err := io.ReadFull(r.r, hdr); err != nil {
 		if err == io.EOF {
 			return Packet{}, io.EOF
 		}
@@ -117,7 +132,7 @@ func (r *Reader) Read() (Packet, error) {
 	if capLen > 256*1024 {
 		return Packet{}, fmt.Errorf("%w: implausible capture length %d", ErrTruncated, capLen)
 	}
-	buf := make([]byte, capLen)
+	buf := r.data.Carve(int(capLen))
 	if _, err := io.ReadFull(r.r, buf); err != nil {
 		return Packet{}, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
@@ -188,6 +203,8 @@ type Writer struct {
 	w       *bufio.Writer
 	began   bool
 	snapLen uint32
+	// hdr holds the global header, then each record header in turn.
+	hdr [24]byte
 }
 
 // NewWriter wraps w. snapLen 0 defaults to 65535.
@@ -199,14 +216,14 @@ func NewWriter(w io.Writer, snapLen uint32) *Writer {
 }
 
 func (w *Writer) writeHeader() error {
-	var hdr [24]byte
+	hdr := w.hdr[:]
 	binary.LittleEndian.PutUint32(hdr[0:4], magicMicros)
 	binary.LittleEndian.PutUint16(hdr[4:6], 2) // version 2.4
 	binary.LittleEndian.PutUint16(hdr[6:8], 4)
 	// thiszone and sigfigs stay zero.
 	binary.LittleEndian.PutUint32(hdr[16:20], w.snapLen)
 	binary.LittleEndian.PutUint32(hdr[20:24], LinkTypeRaw)
-	_, err := w.w.Write(hdr[:])
+	_, err := w.w.Write(hdr)
 	return err
 }
 
@@ -222,12 +239,12 @@ func (w *Writer) Write(tsNanos int64, data []byte) error {
 	if capLen > w.snapLen {
 		capLen = w.snapLen
 	}
-	var hdr [16]byte
+	hdr := w.hdr[:16]
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(tsNanos/1e9))
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(tsNanos%1e9/1e3))
 	binary.LittleEndian.PutUint32(hdr[8:12], capLen)
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(data)))
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	if _, err := w.w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.w.Write(data[:capLen])

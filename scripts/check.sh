@@ -51,7 +51,10 @@ gate ./internal/workload/ TestLossyGradeZeroFalsePositives
 # legacy batch functions, the streaming pipeline at 1/4/16 workers,
 # and a 5-PoP shard-and-merge (both merge orders) must be
 # byte-identical. This is the tentpole invariant of the incremental
-# aggregation subsystem; run it focused and uncached.
+# aggregation subsystem; run it focused and uncached. The streaming
+# legs go through analysis.Sharded, which lends each worker's one
+# reused Record to every aggregator, so the gate also proves that no
+# paper aggregator keeps the borrowed record.
 echo "== batch / streaming / PoP-merge parity gate =="
 gate ./internal/analysis/ TestParityStreamingMatchesBatch TestParityPoPMergeMatchesBatch
 
@@ -131,6 +134,29 @@ gate ./internal/pipeline/ TestTraceSampledSetDeterministic TestTraceHotPathAlloc
 echo "== tracing: Chrome export validity + cross-PoP propagation gate =="
 gate ./cmd/tamperscan/ TestRunTraceProfileExport TestRunPushTraced TestRunFlightDumpOnRescan
 gate ./internal/fleet/ TestFleetTraceContextPropagation TestEnvelopeMixedFleetParity
+
+# Record-path allocation and ownership gate: the per-record heap
+# allocations removed from the pcap tap to the aggregators stay
+# removed, and the slabs behind them never hand memory out twice.
+# Sharded.Observe with a tamperscan-shaped aggregator makes 0 allocs
+# per record; pcap.Reader.Read at most 0.05 per packet, with every
+# packet still owning its bytes; capture.Sampler at most 0.3 per
+# short-flow connection, with drained records unchanged by later
+# Inbound, DrainIdle, Drain and Reset calls, and collectable once
+# dropped even beside long-lived open flows; the shared slab never
+# hands a byte out twice; the simulator stays under
+# its per-connection bound. The -v listing must equal its old fmt
+# format byte for byte, reach stdout before the report when a pcap is
+# cut mid-packet (exit 3) or the scan is interrupted, and -cpuprofile
+# must leave the output unchanged. The allocation tests skip under
+# -race, so they are gated here, outside the -race pass.
+echo "== record-path allocation + -v listing gate =="
+gate ./internal/analysis/ TestShardedObserveAllocFree
+gate ./internal/pcap/ TestReaderAllocsPerPacket TestReaderPacketsOwnData
+gate ./internal/capture/ TestSamplerAllocsPerConnection TestSamplerDrainedRecordsStayValid TestSamplerLongLivedFlowsReleaseDrainedRecords
+gate ./internal/slab/ TestCarveNeverHandsOutMemoryTwice
+gate ./internal/workload/ TestSimulateSteadyStateAllocs
+gate ./cmd/tamperscan/ TestVerbosePrinterMatchesFmt TestRunVerboseTruncatedPcap TestRunSignalFlushesListing TestRunCPUProfile
 
 # Fleet chaos-parity gate: 20 in-process PoPs (19 concurrent + one
 # straggler past the quorum close) push per-epoch snapshots through a
